@@ -103,7 +103,7 @@ def _table_realizable(space, ref):
     reference table?  Exhaustive over per-basis signs; each pattern
     leaves a linear system for the parameters."""
     F = space.complex
-    ids = [b.bid for i, bl in sorted(F.bases.items()) if i >= 1 for b in bl]
+    ids = F.positive_ids()
     for signs in iproduct((ONE, -ONE), repeat=len(ids)):
         eps = dict(zip(ids, signs))
         rows, rhs = [], []

@@ -126,10 +126,16 @@ class FreeComplex:
         b = self.by_id[bid]
         return Element(b.hdeg, b.mdeg, {bid: ONE})
 
+    def positive_ids(self):
+        """Basis ids of positive homological degree, by hdeg and then in
+        basis order."""
+        return [b.bid for i, blist in sorted(self.bases.items()) if i >= 1 for b in blist]
+
     def unit(self):
-        assert self.augmented
-        (b,) = self.basis_at(0)
-        return Element(0, b.mdeg, {b.bid: ONE})
+        zeros = self.basis_at(0)
+        if not self.augmented or len(zeros) != 1:
+            raise ValueError("only an augmented complex with one hdeg-0 generator has a unit")
+        return Element(0, zeros[0].mdeg, {zeros[0].bid: ONE})
 
     def validate(self):
         if self.augmented:
@@ -301,7 +307,7 @@ class GradedComponent:
 def graded_component(complex_, a):
     ids = {}
     for i, blist in complex_.bases.items():
-        kept = [b.bid for b in blist if divides(b.mdeg, a)]
+        kept = strand_ids(complex_, i, a)
         if kept:
             ids[i] = kept
     matrices = {}
@@ -335,15 +341,9 @@ def homology_dims(gc):
 
 
 def exactness_test_degrees(ideal):
-    """All lcm-lattice degrees plus pairwise joins (the lattice is
-    join-closed, so the joins add nothing; kept for explicitness)."""
-    lattice = lcm_lattice(ideal)
-    degrees = set(lattice.elements)
-    elems = list(lattice.elements)
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            degrees.add(tuple(max(x, y) for x, y in zip(a, b)))
-    return sorted(degrees)
+    """All lcm-lattice degrees.  The lattice holds the lcm of every
+    subset of generators, so it is already closed under joins."""
+    return sorted(lcm_lattice(ideal).elements)
 
 
 def is_resolution(complex_, ideal):
@@ -403,7 +403,22 @@ def try_squarefree_part(complex_, f):
 
 
 def strand_ids(complex_, hdeg, a):
+    """Basis ids at hdeg whose degree divides a: the degree-a strand."""
     return [b.bid for b in complex_.basis_at(hdeg) if divides(b.mdeg, a)]
+
+
+def canonical_pairs(complex_):
+    """Basis pairs (u, v) with u <= v, both of positive hdeg, odd
+    squares excluded, sorted by total hdeg then by id."""
+    ids = complex_.positive_ids()
+    pairs = list(combinations(sorted(ids), 2))
+    pairs += [(u, u) for u in ids if complex_.by_id[u].hdeg % 2 == 0]
+
+    def level(pair):
+        u, v = pair
+        return complex_.by_id[u].hdeg + complex_.by_id[v].hdeg
+
+    return sorted(pairs, key=lambda p: (level(p), p))
 
 
 def element_vector(f, ids):

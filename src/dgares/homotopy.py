@@ -20,7 +20,7 @@ from .complexes import Element, FreeComplex
 from .ideals import scale_ideal, vec_add
 from .minimize import minimal_resolution
 from .multiplication import Multiplication
-from .solve import canonical_pairs
+from .solve import add_scaled, leibniz_sweep
 
 ONE = Fraction(1)
 
@@ -118,40 +118,6 @@ def contracting_homotopy(complex_):
     return Homotopy(complex_, sigma)
 
 
-def _concrete_rhs(complex_, table, u, v):
-    """d(u)*v + (-1)^|u| u*d(v) with products drawn from a partial
-    scalar table on canonical pairs."""
-    by_id = complex_.by_id
-
-    def prod(a, b):
-        ba, bb = by_id[a], by_id[b]
-        if ba.hdeg == 0:
-            return {b: ONE}
-        if bb.hdeg == 0:
-            return {a: ONE}
-        sign = ONE
-        if a > b:
-            a, b = b, a
-            sign = ONE * (-1) ** (ba.hdeg * bb.hdeg)
-        if a == b and ba.hdeg % 2 == 1:
-            return {}
-        row = table.get((a, b), {})
-        if sign == ONE:
-            return row
-        return {w: sign * c for w, c in row.items()}
-
-    acc = {}
-    for h, d in complex_.diff_of(u).items():
-        for w, c in prod(h, v).items():
-            acc[w] = acc.get(w, 0) + d * c
-    s = ONE * (-1) ** by_id[u].hdeg
-    for h, d in complex_.diff_of(v).items():
-        for w, c in prod(u, h).items():
-            acc[w] = acc.get(w, 0) + s * d * c
-    bu, bv = by_id[u], by_id[v]
-    return Element(bu.hdeg + bv.hdeg - 1, vec_add(bu.mdeg, bv.mdeg), acc)
-
-
 def laurent_dga(complex_, homotopy=None):
     """The contraction-induced multiplication, with Laurent
     coefficients allowed.
@@ -161,13 +127,13 @@ def laurent_dga(complex_, homotopy=None):
     associator; the result is an honest DGA over the Laurent ring."""
     if homotopy is None:
         homotopy = contracting_homotopy(complex_)
+    by_id = complex_.by_id
     table = {}
-    for pair in canonical_pairs(complex_):
-        u, v = pair
-        rho = _concrete_rhs(complex_, table, u, v)
-        prod = homotopy.apply(rho)
+    for (u, v), rho in leibniz_sweep(complex_, table, ONE, add_scaled):
+        bu, bv = by_id[u], by_id[v]
+        prod = homotopy.apply(Element(bu.hdeg + bv.hdeg - 1, vec_add(bu.mdeg, bv.mdeg), rho))
         if prod.coeffs:
-            table[pair] = dict(prod.coeffs)
+            table[(u, v)] = dict(prod.coeffs)
     return Multiplication(complex_, table, laurent=True)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
+from .complexes import strand_ids
 from .ideals import MonomialIdeal, divides
 from .lattices import Poset, lcm_lattice, poset_isomorphic
 from .minimize import cancel_pairs
@@ -189,7 +190,7 @@ def in_matched_span(complex_, uppers, f):
     in the strand of f's multidegree."""
     if not f.coeffs:
         return True
-    cols = [b.bid for b in complex_.basis_at(f.hdeg) if divides(b.mdeg, f.mdeg)]
+    cols = strand_ids(complex_, f.hdeg, f.mdeg)
     index = {c: j for j, c in enumerate(cols)}
     rows = []
     for w in uppers:
@@ -212,12 +213,7 @@ def dga_ideal_check(mult, matching, max_witnesses=10):
     and matched upper W.  Returns (ok, witnesses)."""
     T = mult.complex
     uppers = [u for (_, u) in matching]
-    ids = [
-        b.bid
-        for i, blist in sorted(T.bases.items())
-        if i >= 1
-        for b in blist
-    ]
+    ids = T.positive_ids()
     witnesses = []
     for w in uppers:
         gw = T.basis_element(w)
@@ -240,7 +236,8 @@ def morse_quotient(taylor, mult, matching):
     Raises ValueError when a pair never becomes cancellable or the span
     fails the ideal check.
     """
-    assert mult.complex is taylor
+    if mult.complex is not taylor:
+        raise ValueError("the multiplication lives on another complex than the matching's")
     ok, wit = dga_ideal_check(mult, matching)
     if not ok:
         raise ValueError(f"matched span is not a DG-ideal; witness {wit[:1]}")

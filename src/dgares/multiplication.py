@@ -13,10 +13,38 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .complexes import Element
+from .complexes import Element, canonical_pairs
 from .ideals import divides, join, vec_add
 
 ONE = Fraction(1)
+
+
+def fold(by_id, a, b):
+    """Table key and sign of the product e_a * e_b of positive-degree
+    basis ids: ((u, v), sign) with u <= v and e_a * e_b = sign * e_u *
+    e_v, by the rule e_b * e_a = (-1)^(|a||b|) e_a * e_b."""
+    if a <= b:
+        return (a, b), ONE
+    return (b, a), -ONE if by_id[a].hdeg * by_id[b].hdeg % 2 else ONE
+
+
+def lookup(by_id, table, a, b, one):
+    """e_a * e_b read off a (possibly partial) table on canonical pairs,
+    as (row, sign) with e_a * e_b = sign * row.
+
+    A product with the hdeg-0 unit is {other factor: one}, `one` being
+    the unit scalar of the table's rows, and the square of an odd-degree
+    element is {}.  A missing row is zero; a row stored as None comes
+    back as None."""
+    ba, bb = by_id[a], by_id[b]
+    if ba.hdeg == 0:
+        return {b: one}, ONE
+    if bb.hdeg == 0:
+        return {a: one}, ONE
+    if a == b and ba.hdeg % 2 == 1:
+        return {}, ONE
+    key, sign = fold(by_id, a, b)
+    return table.get(key, {}), sign
 
 
 class Multiplication:
@@ -34,21 +62,18 @@ class Multiplication:
         self.complex = complex_
         self.laurent = laurent
         self.table = {}
+        by_id = complex_.by_id
         for (u, v), row in table.items():
-            bu, bv = complex_.by_id[u], complex_.by_id[v]
-            if bu.hdeg < 1 or bv.hdeg < 1:
+            if by_id[u].hdeg < 1 or by_id[v].hdeg < 1:
                 raise ValueError(f"table pair ({u}, {v}) involves the hdeg-0 generator")
-            sign = ONE
-            if u > v:
-                u, v = v, u
-                sign = ONE * (-1) ** (bu.hdeg * bv.hdeg)
+            key, sign = fold(by_id, u, v)
             row = {w: sign * c for w, c in row.items() if c}
-            if (u, v) in self.table:
-                if self.table[(u, v)] != row:
-                    raise ValueError(f"conflicting table entries for ({u}, {v})")
+            if key in self.table:
+                if self.table[key] != row:
+                    raise ValueError(f"conflicting table entries for {key}")
                 continue
             if row:
-                self.table[(u, v)] = row
+                self.table[key] = row
         if check:
             self._validate()
 
@@ -69,34 +94,16 @@ class Multiplication:
 
     def pairs(self):
         """Canonical basis pairs of positive hdeg that carry a (possibly
-        zero) product, odd squares excluded."""
-        ids = [
-            b.bid
-            for i, blist in sorted(self.complex.bases.items())
-            if i >= 1
-            for b in blist
-        ]
-        out = [(u, v) for u, v in combinations(sorted(ids), 2)]
-        out += [(u, u) for u in ids if self.complex.by_id[u].hdeg % 2 == 0]
-        return sorted(out)
+        zero) product, odd squares excluded, in id order."""
+        return sorted(canonical_pairs(self.complex))
 
     def product(self, u, v):
         """e_u * e_v as an Element, for basis ids u, v."""
-        bu, bv = self.complex.by_id[u], self.complex.by_id[v]
-        hdeg = bu.hdeg + bv.hdeg
-        mdeg = vec_add(bu.mdeg, bv.mdeg)
-        if bu.hdeg == 0:
-            return Element(hdeg, mdeg, {v: ONE})
-        if bv.hdeg == 0:
-            return Element(hdeg, mdeg, {u: ONE})
-        sign = ONE
-        if u > v:
-            u, v = v, u
-            sign = ONE * (-1) ** (bu.hdeg * bv.hdeg)
-        if u == v and bu.hdeg % 2 == 1:
-            return Element(hdeg, mdeg, {})
-        row = self.table.get((u, v), {})
-        return Element(hdeg, mdeg, {w: sign * c for w, c in row.items()})
+        by_id = self.complex.by_id
+        bu, bv = by_id[u], by_id[v]
+        row, sign = lookup(by_id, self.table, u, v, ONE)
+        return Element(bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg),
+                       {w: sign * c for w, c in row.items()})
 
     def multiply(self, f, g):
         """Extend the basis products bilinearly; monomial coefficients
@@ -109,13 +116,6 @@ class Multiplication:
                 for w, c in self.product(u, v).coeffs.items():
                     acc[w] = acc.get(w, 0) + cu * cv * c
         return Element(hdeg, mdeg, acc)
-
-    def entry(self, u, v, w):
-        return self.product(u, v).coeffs.get(w, Fraction(0))
-
-
-def multiply(mult, f, g):
-    return mult.multiply(f, g)
 
 
 def associator(mult, f, g, h):
@@ -131,14 +131,9 @@ def taylor_multiplication(complex_):
     (-1)^s g_(W u V) with s the number of pairs (w, v) in W x V with
     v < w.  The monomial factor lcm(W) lcm(V) / lcm(W u V) is implied by
     the scalar storage."""
-    ids = [
-        b.bid
-        for i, blist in sorted(complex_.bases.items())
-        if i >= 1
-        for b in blist
-    ]
-    for w in ids:
-        assert isinstance(w, tuple), "taylor_multiplication needs index-tuple ids"
+    ids = complex_.positive_ids()
+    if not all(isinstance(w, tuple) for w in ids):
+        raise ValueError("taylor_multiplication needs index-tuple ids")
     table = {}
     for u, v in combinations(sorted(ids), 2):
         if set(u) & set(v):
@@ -157,14 +152,10 @@ def transfer_multiplication(mult, transfer):
     transfer.  Both are chain maps, so unit, Leibniz, commutativity and
     the multigrading carry over; associativity does not in general and
     has to be re-checked on the result."""
+    if mult.complex is not transfer.big:
+        raise ValueError("the multiplication lives on another complex than the transfer's")
     small = transfer.small
-    assert mult.complex is transfer.big
-    ids = [
-        b.bid
-        for i, blist in sorted(small.bases.items())
-        if i >= 1
-        for b in blist
-    ]
+    ids = small.positive_ids()
     included = {}
     for w in ids:
         be = small.by_id[w]
@@ -229,7 +220,7 @@ def check_dga_axioms(mult, associativity=True, max_witnesses=10):
     # zero acting as identity (structural, but exercised here).
     try:
         one = complex_.unit()
-    except AssertionError:
+    except ValueError:
         report.unit = False
     else:
         for i, blist in complex_.bases.items():
@@ -268,29 +259,34 @@ def check_dga_axioms(mult, associativity=True, max_witnesses=10):
                 report.leibniz_failures.append((u, v, residual))
 
     if associativity:
-        ids = [
-            b.bid
-            for i, blist in sorted(complex_.bases.items())
-            if i >= 1
-            for b in blist
-        ]
-        for u in ids:
-            fu = complex_.basis_element(u)
-            for v in ids:
-                p_uv = mult.product(u, v)
-                fv = complex_.basis_element(v)
-                for w in ids:
-                    p_vw = mult.product(v, w)
-                    if p_uv.is_zero() and p_vw.is_zero():
-                        continue
-                    fw = complex_.basis_element(w)
-                    left = mult.multiply(p_uv, fw)
-                    right = mult.multiply(fu, p_vw)
-                    if left != right:
-                        report.associative = False
-                        if len(report.associative_failures) < max_witnesses:
-                            report.associative_failures.append((u, v, w, left.sub(right)))
+        for witness in associators(mult):
+            report.associative = False
+            if len(report.associative_failures) >= max_witnesses:
+                break
+            report.associative_failures.append(witness)
     return report
+
+
+def associators(mult):
+    """Nonzero associators on basis triples of positive hdeg, yielded as
+    (u, v, w, (e_u e_v) e_w - e_u (e_v e_w)) with u, v, w running over
+    the ids in positive_ids order, w fastest.  Triples whose two inner
+    products both vanish are skipped: both sides are zero there."""
+    complex_ = mult.complex
+    ids = complex_.positive_ids()
+    basis = [complex_.basis_element(w) for w in ids]
+    products = [[mult.product(v, w) for w in ids] for v in ids]
+    for i, u in enumerate(ids):
+        fu = basis[i]
+        for j, v in enumerate(ids):
+            p_uv = products[i][j]
+            for w, fw, p_vw in zip(ids, basis, products[j]):
+                if not p_uv.coeffs and not p_vw.coeffs:
+                    continue
+                left = mult.multiply(p_uv, fw)
+                right = mult.multiply(fu, p_vw)
+                if left != right:
+                    yield u, v, w, left.sub(right)
 
 
 def is_supportive(mult, max_witnesses=10):
@@ -316,13 +312,10 @@ def gauge_equivalent(mult, table, cap=12):
     (u, v, w) into eps_u eps_v eps_w times the old one, so two tables
     related this way present the same multiplication on renamed bases.
     The search is exhaustive over all sign patterns."""
-    ids = [
-        b.bid
-        for i, blist in sorted(mult.complex.bases.items())
-        if i >= 1
-        for b in blist
-    ]
-    assert len(ids) <= cap, "gauge search is exponential in the basis size"
+    ids = mult.complex.positive_ids()
+    if len(ids) > cap:
+        raise ValueError(
+            f"gauge search is exponential in the basis size: {len(ids)} ids exceed the cap of {cap}")
     pairs = sorted(set(mult.table) | set(table))
     zero = Fraction(0)
     for signs in iproduct((ONE, -ONE), repeat=len(ids)):

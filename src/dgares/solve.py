@@ -13,12 +13,11 @@ holding the constant term.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
-from .complexes import Element
-from .ideals import divides, vec_add
-from .multiplication import Multiplication
+from .complexes import Element, canonical_pairs, strand_ids
+from .ideals import vec_add
+from .multiplication import Multiplication, associators, lookup
 
 ONE = Fraction(1)
 CONST = -1
@@ -49,23 +48,42 @@ def aff_eval(a, values):
     return out
 
 
-def canonical_pairs(complex_):
-    """Basis pairs (u, v) with u <= v, both of positive hdeg, odd
-    squares excluded, sorted by total hdeg then by id."""
-    ids = [
-        b.bid
-        for i, blist in sorted(complex_.bases.items())
-        if i >= 1
-        for b in blist
-    ]
-    pairs = list(combinations(sorted(ids), 2))
-    pairs += [(u, u) for u in ids if complex_.by_id[u].hdeg % 2 == 0]
+def add_scaled(acc, c, row):
+    """acc += c * row on rows of plain scalars."""
+    for w, x in row.items():
+        acc[w] = acc.get(w, 0) + c * x
 
-    def level(pair):
+
+def aff_add_scaled(acc, c, row):
+    """acc += c * row on rows of affine scalars."""
+    for w, aff in row.items():
+        acc[w] = aff_add(acc.get(w, {}), aff_scale(aff, c))
+
+
+def leibniz_sweep(complex_, table, one, accumulate):
+    """Walk the canonical pairs level by level and yield (pair, rhs),
+    rhs = d(u)*v + (-1)^|u| u*d(v) as {target id: scalar}.
+
+    The lower products come from `table` through the sign-folded lookup;
+    the caller stores each pair's row there before asking for the next
+    pair, so every level below is complete when a pair comes up.  `one`
+    (the unit scalar) and `accumulate` (add_scaled or aff_add_scaled)
+    fix the scalar type of the rows.  rhs is None when it draws on a
+    row stored as None."""
+    by_id = complex_.by_id
+    for pair in canonical_pairs(complex_):
         u, v = pair
-        return complex_.by_id[u].hdeg + complex_.by_id[v].hdeg
-
-    return sorted(pairs, key=lambda p: (level(p), p))
+        s = -ONE if by_id[u].hdeg % 2 else ONE
+        terms = [(h, v, d) for h, d in complex_.diff_of(u).items()]
+        terms += [(u, h, s * d) for h, d in complex_.diff_of(v).items()]
+        rho = {}
+        for a, b, d in terms:
+            row, sign = lookup(by_id, table, a, b, one)
+            if row is None:
+                rho = None
+                break
+            accumulate(rho, sign * d, row)
+        yield pair, rho
 
 
 def _strand_data(complex_, u, v):
@@ -74,47 +92,14 @@ def _strand_data(complex_, u, v):
     bu, bv = complex_.by_id[u], complex_.by_id[v]
     level = bu.hdeg + bv.hdeg
     degree = vec_add(bu.mdeg, bv.mdeg)
-    targets = [b.bid for b in complex_.basis_at(level) if divides(b.mdeg, degree)]
-    below = [b.bid for b in complex_.basis_at(level - 1) if divides(b.mdeg, degree)]
+    targets = strand_ids(complex_, level, degree)
+    below = strand_ids(complex_, level - 1, degree)
     idx = {h: r for r, h in enumerate(below)}
     mat = linalg.zeros(len(below), len(targets))
     for c, w in enumerate(targets):
         for h, coeff in complex_.diff_of(w).items():
             mat[idx[h]][c] = coeff
     return degree, targets, below, mat
-
-
-def _rhs_affine(complex_, table, u, v):
-    """d(u)*v + (-1)^|u| u*d(v) with lower products taken from the
-    affine table; returns {target id: affine scalar}."""
-    by_id = complex_.by_id
-
-    def prod(a, b):
-        ba, bb = by_id[a], by_id[b]
-        if ba.hdeg == 0:
-            return {b: aff_const(ONE)}
-        if bb.hdeg == 0:
-            return {a: aff_const(ONE)}
-        sign = ONE
-        if a > b:
-            a, b = b, a
-            sign = ONE * (-1) ** (ba.hdeg * bb.hdeg)
-        if a == b and ba.hdeg % 2 == 1:
-            return {}
-        row = table[(a, b)]
-        if sign == ONE:
-            return row
-        return {w: aff_scale(aff, sign) for w, aff in row.items()}
-
-    rho = {}
-    for h, d in complex_.diff_of(u).items():
-        for w, aff in prod(h, v).items():
-            rho[w] = aff_add(rho.get(w, {}), aff_scale(aff, d))
-    s = ONE * (-1) ** by_id[u].hdeg
-    for h, d in complex_.diff_of(v).items():
-        for w, aff in prod(u, h).items():
-            rho[w] = aff_add(rho.get(w, {}), aff_scale(aff, s * d))
-    return {w: aff for w, aff in rho.items() if aff}
 
 
 @dataclass
@@ -132,7 +117,8 @@ class MultiplicationSpace:
     dim: int
 
     def table_at(self, values):
-        assert len(values) == self.dim
+        if len(values) != self.dim:
+            raise ValueError(f"{len(values)} parameter values for a space of dimension {self.dim}")
         table = {}
         for pair, row in self.entries.items():
             concrete = {w: aff_eval(aff, values) for w, aff in row.items()}
@@ -147,15 +133,12 @@ class MultiplicationSpace:
     def particular(self):
         return self.at((Fraction(0),) * self.dim)
 
-    def entry(self, u, v, w):
-        assert u <= v
-        return self.entries.get((u, v), {}).get(w, {})
-
     def locate(self, mult):
         """Parameter values realizing a given multiplication, or None
         when it does not lie in the space.  The values are unique since
         each parameter is visible in the pair that introduced it."""
-        assert set(mult.complex.by_id) == set(self.complex.by_id)
+        if set(mult.complex.by_id) != set(self.complex.by_id):
+            raise ValueError("the multiplication lives on a complex with another basis")
         rows = []
         rhs = []
         for pair in canonical_pairs(self.complex):
@@ -176,11 +159,10 @@ def leibniz_solution_space(complex_):
     hand side is a cycle in an exact strand)."""
     entries = {}
     dim = 0
-    for pair in canonical_pairs(complex_):
-        u, v = pair
-        rho = _rhs_affine(complex_, entries, u, v)
-        degree, targets, below, mat = _strand_data(complex_, u, v)
-        assert all(w in below for w in rho), "rhs escapes the strand"
+    for pair, rho in leibniz_sweep(complex_, entries, aff_const(ONE), aff_add_scaled):
+        degree, targets, below, mat = _strand_data(complex_, *pair)
+        if any(aff and w not in below for w, aff in rho.items()):
+            raise ValueError(f"Leibniz right-hand side escapes the strand at pair {pair}")
         params = sorted({p for aff in rho.values() for p in aff if p != CONST})
         rhs_list = []
         for key in [CONST] + params:
@@ -206,34 +188,29 @@ def leibniz_solution_space(complex_):
 class ForcedProducts:
     """Products pinned down by the Leibniz rule alone.
 
-    values: {canonical pair: Element or None}; None marks a pair whose
-    product is not forced (its strand has room, or it depends on an
-    unforced lower pair).  Odd squares count as forced zero."""
+    table: {canonical pair: row or None}, rows being {target id:
+    scalar}; None marks a pair whose product is not forced (its strand
+    has room, or it depends on an unforced lower pair).  Odd squares
+    count as forced zero."""
 
     complex: object
-    values: dict
+    table: dict
 
     def get(self, u, v):
+        """e_u * e_v as an Element when Leibniz forces it, else None."""
         by_id = self.complex.by_id
+        row, sign = lookup(by_id, self.table, u, v, ONE)
+        if row is None:
+            return None
         bu, bv = by_id[u], by_id[v]
-        if bu.hdeg == 0:
-            return self.complex.basis_element(v)
-        if bv.hdeg == 0:
-            return self.complex.basis_element(u)
-        sign = ONE
-        if u > v:
-            u, v = v, u
-            sign = ONE * (-1) ** (bu.hdeg * bv.hdeg)
-        if u == v and bu.hdeg % 2 == 1:
-            return Element(2 * bu.hdeg, vec_add(bu.mdeg, bv.mdeg), {})
-        val = self.values.get((u, v))
-        return None if val is None else val.scale(sign)
+        return Element(bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg),
+                       {w: sign * c for w, c in row.items()})
 
     def forced_pairs(self):
-        return sorted(p for p, v in self.values.items() if v is not None)
+        return sorted(p for p, row in self.table.items() if row is not None)
 
     def free_pairs(self):
-        return sorted(p for p, v in self.values.items() if v is None)
+        return sorted(p for p, row in self.table.items() if row is None)
 
 
 def forced_products(complex_):
@@ -241,63 +218,19 @@ def forced_products(complex_):
 
     A pair is forced when every lower pair it draws on is forced and its
     strand system has a unique solution (trivial kernel)."""
-    by_id = complex_.by_id
-    values = {}
-    for u in sorted(complex_.by_id):
-        b = by_id[u]
-        if b.hdeg >= 1 and b.hdeg % 2 == 1:
-            values[(u, u)] = Element(2 * b.hdeg, vec_add(b.mdeg, b.mdeg), {})
-
-    def prod(a, b):
-        ba, bb = by_id[a], by_id[b]
-        if ba.hdeg == 0:
-            return complex_.basis_element(b)
-        if bb.hdeg == 0:
-            return complex_.basis_element(a)
-        sign = ONE
-        if a > b:
-            a, b = b, a
-            sign = ONE * (-1) ** (ba.hdeg * bb.hdeg)
-        val = values.get((a, b))
-        return None if val is None else val.scale(sign)
-
-    for pair in canonical_pairs(complex_):
-        u, v = pair
-        degree, targets, below, mat = _strand_data(complex_, u, v)
-        rho = Element(by_id[u].hdeg + by_id[v].hdeg - 1, degree, {})
-        blocked = False
-        for h, d in complex_.diff_of(u).items():
-            p = prod(h, v)
-            if p is None:
-                blocked = True
-                break
-            rho = rho.add(Element(rho.hdeg, degree, {w: d * c for w, c in p.coeffs.items()}))
-        if not blocked:
-            s = ONE * (-1) ** by_id[u].hdeg
-            for h, d in complex_.diff_of(v).items():
-                p = prod(u, h)
-                if p is None:
-                    blocked = True
-                    break
-                rho = rho.add(
-                    Element(rho.hdeg, degree, {w: s * d * c for w, c in p.coeffs.items()})
-                )
-        if blocked:
-            values[pair] = None
+    table = {(u, u): {} for u in complex_.positive_ids() if complex_.by_id[u].hdeg % 2 == 1}
+    for pair, rho in leibniz_sweep(complex_, table, ONE, add_scaled):
+        table[pair] = None
+        if rho is None:
             continue
+        degree, targets, below, mat = _strand_data(complex_, *pair)
         if linalg.nullspace(mat, n=len(targets)):
-            values[pair] = None
             continue
-        rhs = [rho.coeffs.get(h, Fraction(0)) for h in below]
-        sol = linalg.solve(mat, rhs)
+        sol = linalg.solve(mat, [rho.get(h, Fraction(0)) for h in below])
         if sol is None:
             raise ValueError(f"Leibniz has no solution at pair {pair}")
-        values[pair] = Element(
-            by_id[u].hdeg + by_id[v].hdeg,
-            degree,
-            {w: c for w, c in zip(targets, sol) if c},
-        )
-    return ForcedProducts(complex_, values)
+        table[pair] = {w: c for w, c in zip(targets, sol) if c}
+    return ForcedProducts(complex_, table)
 
 
 def associativity_scan(space, samples=20, rng=None, bound=5):
@@ -307,34 +240,9 @@ def associativity_scan(space, samples=20, rng=None, bound=5):
     members and a triple (u, v, w) otherwise."""
     if rng is None:
         rng = random.Random(0)
-    complex_ = space.complex
-    ids = [
-        b.bid
-        for i, blist in sorted(complex_.bases.items())
-        if i >= 1
-        for b in blist
-    ]
     results = []
     for _ in range(samples):
         values = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(space.dim))
-        mult = space.at(values)
-        witness = None
-        for u in ids:
-            fu = complex_.basis_element(u)
-            for v in ids:
-                p_uv = mult.product(u, v)
-                for w in ids:
-                    p_vw = mult.product(v, w)
-                    if p_uv.is_zero() and p_vw.is_zero():
-                        continue
-                    left = mult.multiply(p_uv, complex_.basis_element(w))
-                    right = mult.multiply(fu, p_vw)
-                    if left != right:
-                        witness = (u, v, w)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        witness = next((triple[:3] for triple in associators(space.at(values))), None)
         results.append((values, witness))
     return results

@@ -29,6 +29,7 @@ from .complexes import (
     Element,
     scarf_complex,
     squarefree_part,
+    strand_ids,
     taylor_complex,
 )
 from .ideals import (
@@ -54,15 +55,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _hdeg_ids(complex_, lowest=1):
-    return [
-        b.bid
-        for i, blist in sorted(complex_.bases.items())
-        if i >= lowest
-        for b in blist
-    ]
-
-
 def scarf_product_check(ideal, mult, max_witnesses=10):
     """Check that products forced by the Scarf complex have their forced
     value: for basis ids U, V (both Scarf faces) with U cup V again a
@@ -77,7 +69,7 @@ def scarf_product_check(ideal, mult, max_witnesses=10):
         raise ValueError("Scarf products are only forced here for squarefree ideals")
     faces = {tuple(sorted(f)) for f in scarf_complex(ideal).faces}
     F = mult.complex
-    ids = _hdeg_ids(F)
+    ids = F.positive_ids()
     witnesses = []
     for pos, u in enumerate(ids):
         for v in ids[pos:]:
@@ -141,7 +133,7 @@ def degree_one_generation(mult, max_witnesses=10):
             _, sq = squarefree_part(F, p)
             spans.setdefault(sq.mdeg, []).append(sq)
         for b in F.basis_at(i):
-            window = [w.bid for w in F.basis_at(i) if divides(w.mdeg, b.mdeg)]
+            window = strand_ids(F, i, b.mdeg)
             rows = [
                 [e.coeffs.get(w, ZERO) for w in window]
                 for e in spans.get(b.mdeg, [])
@@ -166,7 +158,7 @@ def in_degree_one_span(mult, bid):
     if b.hdeg <= 1:
         return True
     one = [x.bid for x in F.basis_at(1)]
-    window = [w.bid for w in F.basis_at(b.hdeg) if divides(w.mdeg, b.mdeg)]
+    window = strand_ids(F, b.hdeg, b.mdeg)
     rows = []
     for seq in iproduct(one, repeat=b.hdeg):
         p = nested_product(mult, list(seq))
@@ -220,7 +212,7 @@ class TaylorMap:
 
     def verify_algebra_map(self):
         """phi(a *_T b) == phi(a) * phi(b) on all basis pairs."""
-        ids = _hdeg_ids(self.taylor)
+        ids = self.taylor.positive_ids()
         for pos, u in enumerate(ids):
             for v in ids[pos:]:
                 lhs = self.image_of(self.taylor_mult.product(u, v))
@@ -232,16 +224,8 @@ class TaylorMap:
     def _window(self, hdeg, a):
         """Matrix of the map restricted to Taylor ids of the given hdeg
         whose degree divides a, over the matching target window."""
-        srcs = [
-            b.bid
-            for b in self.taylor.basis_at(hdeg)
-            if divides(b.mdeg, a)
-        ]
-        cols = [
-            w.bid
-            for w in self.target.basis_at(hdeg)
-            if divides(w.mdeg, a)
-        ]
+        srcs = strand_ids(self.taylor, hdeg, a)
+        cols = strand_ids(self.target, hdeg, a)
         rows = [
             [self.images[bid].coeffs.get(w, ZERO) for w in cols]
             for bid in srcs

@@ -1,11 +1,15 @@
 """Products on resolutions: Taylor shuffle, transfer, axiom checks."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dgares.complexes import Element, taylor_complex
+import dgares
+from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
 from dgares.corpus import (
     cycle_ideal,
     random_monomial_ideal,
@@ -19,7 +23,6 @@ from dgares.multiplication import (
     check_dga_axioms,
     gauge_equivalent,
     is_supportive,
-    multiply,
     taylor_multiplication,
     transfer_multiplication,
 )
@@ -72,12 +75,12 @@ def test_multiply_is_bilinear_and_associator_vanishes():
     f = Element(1, (2, 1, 0), {(0,): F(2), (1,): F(-3)})
     g = Element(1, (2, 1, 1), {(1,): F(1), (2,): F(5)})
     h = t.basis_element((2,))
-    fg = multiply(m, f, g)
+    fg = m.multiply(f, g)
     assert fg.hdeg == 2 and fg.mdeg == (4, 2, 1)
     # bilinearity against a split of f
     f1 = Element(1, (2, 1, 0), {(0,): F(2)})
     f2 = Element(1, (2, 1, 0), {(1,): F(-3)})
-    assert fg == multiply(m, f1, g).add(multiply(m, f2, g))
+    assert fg == m.multiply(f1, g).add(m.multiply(f2, g))
     assert associator(m, f, g, h).is_zero()
 
 
@@ -119,6 +122,21 @@ def test_axiom_check_without_associativity():
     assert report.associative_failures == []
 
 
+def _two_generator_complex():
+    """Not augmented, with two hdeg-0 generators: no unit exists."""
+    zeros = [BasisElement((0,), 0, (0,)), BasisElement((1,), 0, (1,))]
+    return FreeComplex(1, {0: zeros}, {}, augmented=False)
+
+
+def test_unit_check_reports_a_missing_unit():
+    c = _two_generator_complex()
+    with pytest.raises(ValueError, match="unit"):
+        c.unit()
+    report = check_dga_axioms(Multiplication(c, {}))
+    assert not report.unit
+    assert report.summary().startswith("unit=FAIL")
+
+
 def test_transfer_multiplication_cycle_ideal():
     ideal = cycle_ideal(6)
     t = taylor_complex(ideal)
@@ -126,6 +144,15 @@ def test_transfer_multiplication_cycle_ideal():
     m = transfer_multiplication(taylor_multiplication(t), transfer)
     report = check_dga_axioms(m, associativity=False)
     assert report.is_multiplication, report.summary()
+
+
+def test_transfer_multiplication_rejects_another_complex():
+    ideal = taylor_equals_scarf_ideal()
+    _, transfer = minimize(taylor_complex(ideal))
+    # an equal complex that is not the transfer's own object
+    foreign = taylor_multiplication(taylor_complex(ideal))
+    with pytest.raises(ValueError, match="another complex"):
+        transfer_multiplication(foreign, transfer)
 
 
 def test_is_supportive_on_taylor():
@@ -182,5 +209,38 @@ def test_gauge_equivalent_rejects_impossible_tables():
 def test_gauge_equivalent_cap():
     ideal = cycle_ideal(6)
     m = taylor_multiplication(taylor_complex(ideal))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="exponential"):
         gauge_equivalent(m, {})
+
+
+_WITHOUT_ASSERTS = """
+import sys
+from dgares.complexes import BasisElement, FreeComplex, taylor_complex
+from dgares.corpus import cycle_ideal
+from dgares.multiplication import Multiplication, check_dga_axioms, gauge_equivalent, taylor_multiplication
+
+if not sys.flags.optimize:
+    sys.exit(3)
+try:
+    gauge_equivalent(taylor_multiplication(taylor_complex(cycle_ideal(6))), {})
+except ValueError:
+    print("cap")
+zeros = [BasisElement((0,), 0, (0,)), BasisElement((1,), 0, (1,))]
+c = FreeComplex(1, {0: zeros}, {}, augmented=False)
+if not check_dga_axioms(Multiplication(c, {})).unit:
+    print("unit")
+"""
+
+
+def test_guards_hold_without_asserts():
+    # python -O strips asserts; the gauge cap and the unit check must
+    # still stop a 2^63 search and report a missing unit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dgares.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WITHOUT_ASSERTS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cap", "unit"]

@@ -7,10 +7,13 @@ import pytest
 
 from dgares.complexes import Element, algebraic_scarf, taylor_complex
 from dgares.corpus import (
+    catalog_ideals,
+    random_monomial_ideal,
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
+from dgares.minimize import minimal_resolution
 from dgares.multiplication import Multiplication, check_dga_axioms, taylor_multiplication
 from dgares.solve import (
     CONST,
@@ -90,6 +93,14 @@ def test_locate_parameter_values():
     assert space.locate(Multiplication(t, broken)) is None
 
 
+def test_table_at_rejects_the_wrong_number_of_values():
+    space = leibniz_solution_space(taylor_complex(taylor_equals_scarf_ideal()))
+    with pytest.raises(ValueError, match="dimension 1"):
+        space.table_at(())
+    with pytest.raises(ValueError, match="dimension 1"):
+        space.at((F(0), F(1)))
+
+
 def test_every_point_of_the_space_is_a_multiplication():
     t = taylor_complex(taylor_equals_scarf_ideal())
     space = leibniz_solution_space(t)
@@ -129,6 +140,10 @@ def test_strongly_generic_space_never_associative():
     assert all(witness is not None for _, witness in results)
     for _, (u, v, w) in results:
         assert space.complex.by_id[u].hdeg >= 1
+    # the axiom check walks the same triples: its first witness is the scan's
+    for values, witness in results:
+        report = check_dga_axioms(space.at(values), max_witnesses=1)
+        assert [f[:3] for f in report.associative_failures] == [witness]
 
 
 def test_forced_products_on_length_three_resolution():
@@ -168,3 +183,21 @@ def test_forced_values_agree_with_every_space_point():
         want = forced.get(u, v)
         for mult in points:
             assert mult.product(u, v) == want
+    # on the catalog and seeded random ideals, the affine entry of every
+    # forced pair carries only the constant term, and it is the forced row
+    rng = random.Random(17)
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    ideals += [random_monomial_ideal(rng, max_gens=5, max_vars=5) for _ in range(8)]
+    checked = 0
+    for ideal in ideals:
+        F_min = minimal_resolution(ideal).complex
+        space = leibniz_solution_space(F_min)
+        forced = forced_products(F_min)
+        for u, v in forced.forced_pairs():
+            if (u, v) not in space.entries:
+                continue  # odd square, zero by construction
+            row = space.entries[(u, v)]
+            assert all(set(aff) == {CONST} for aff in row.values())
+            assert {w: aff[CONST] for w, aff in row.items()} == forced.get(u, v).coeffs
+            checked += 1
+    assert checked > 100
