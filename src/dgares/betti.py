@@ -101,7 +101,8 @@ class TVector:
     values: tuple
 
     def __post_init__(self):
-        assert self.values and self.values[0] == 0
+        if not self.values or self.values[0] != 0:
+            raise ValueError(f"a t-vector starts with t_0 = 0, got {self.values}")
 
 
 def t_vector(table):

@@ -54,7 +54,11 @@ class Element:
         return not self.coeffs
 
     def add(self, other):
-        assert self.hdeg == other.hdeg and self.mdeg == other.mdeg
+        if self.hdeg != other.hdeg or self.mdeg != other.mdeg:
+            raise ValueError(
+                f"cannot add elements of degrees {self.hdeg}, {self.mdeg} "
+                f"and {other.hdeg}, {other.mdeg}"
+            )
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
@@ -178,7 +182,8 @@ class FreeComplex:
             if not row:
                 continue
             for h in row:
-                assert h in ids, f"differential leaves the subcomplex at {g}->{h}"
+                if h not in ids:
+                    raise ValueError(f"differential leaves the subcomplex at {g}->{h}")
             diff[g] = dict(row)
         return FreeComplex(self.num_vars, bases, diff, augmented=self.augmented)
 

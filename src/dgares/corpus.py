@@ -28,7 +28,8 @@ def taylor_equals_scarf_ideal():
 
 def path_ideal(n=6):
     """Edge ideal of the path on n vertices (n-1 generators)."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"a path ideal needs n >= 2 vertices, got {n}")
     gens = []
     for i in range(n - 1):
         g = [0] * n
@@ -39,7 +40,8 @@ def path_ideal(n=6):
 
 def cycle_ideal(n=6):
     """Edge ideal of the n-cycle (n generators)."""
-    assert n >= 3
+    if n < 3:
+        raise ValueError(f"a cycle ideal needs n >= 3 vertices, got {n}")
     gens = []
     for i in range(n):
         g = [0] * n

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fractions.  Everything is dense and
-pure; the systems that show up here (graded strands of resolutions,
-Leibniz systems for a single basis pair) have tens of rows, not
-thousands, so clarity wins over cleverness.
+Matrices are lists of row lists of Fractions, stored dense.  The systems
+that show up here (graded strands of resolutions, Leibniz systems for a
+single basis pair) are mostly zeros, so the elimination in `rref` works
+only on the nonzero entries of each pivot row.
 """
 
 from fractions import Fraction
@@ -80,12 +80,18 @@ def rref(mat, ncols=None):
         if piv is None:
             continue
         r[row], r[piv] = r[piv], r[row]
-        inv = ONE / r[row][col]
-        r[row] = [c * inv for c in r[row]]
+        prow = r[row]
+        # rows from `row` down are zero left of col, so the pivot row is too
+        support = [j for j in range(col, n) if prow[j]]
+        inv = ONE / prow[col]
+        for j in support:
+            prow[j] *= inv
         for i in range(m):
-            if i != row and r[i][col]:
-                c = r[i][col]
-                r[i] = [a - c * b for a, b in zip(r[i], r[row])]
+            c = r[i][col]
+            if c and i != row:
+                ri = r[i]
+                for j in support:
+                    ri[j] -= c * prow[j]
         pivots.append(col)
         row += 1
         if row == m:

@@ -6,8 +6,18 @@ basis.  The inclusion/projection/homotopy triple is accumulated across
 steps so the final minimal complex comes with exact maps back and forth:
 
     proj ∘ incl = id,     incl ∘ proj - id = d∘H + H∘d.
+
+This is a reduction by algebraic discrete Morse theory (Sköldberg 2006;
+Jöllenbeck–Welker 2009).  One engine, `_Reduction`, runs every
+cancellation.  `minimize` searches its own pivots with a fixed policy:
+the live unit entry with the smallest (hdeg of source, source id,
+target id) goes first, or the largest with order="reversed".  A heap
+holds those entries under the invariant "every live unit entry is in
+the heap; stale ones are dropped on pop".  `cancel_pairs` feeds
+prescribed pivots (a Morse matching) to the same engine without a heap.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +35,27 @@ def _combo_sub(row, factor, other):
     return out
 
 
+class _Largest(tuple):
+    """Heap key whose < is reversed, so heapq pops the largest first."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return tuple.__lt__(other, self)
+
+
 class _Reduction:
-    def __init__(self, complex_):
+    """The one cancellation engine behind `minimize` and `cancel_pairs`.
+
+    `by_id` holds the live basis.  `into` (target -> sources) indexes the
+    columns of `diff` and `holders` (target -> rows) those of `proj`, so
+    a cancellation touches only the rows that hold g or h.  The pivot
+    heap is built only for an `order`; without one the caller
+    prescribes the pivots.
+    """
+
+    def __init__(self, complex_, order=None):
         self.base = complex_
-        self.bases = {i: list(b) for i, b in complex_.bases.items()}
         self.by_id = dict(complex_.by_id)
         self.diff = {g: dict(row) for g, row in complex_.diff.items()}
         self.into = {}
@@ -36,105 +63,109 @@ class _Reduction:
             for h in row:
                 self.into.setdefault(h, set()).add(g)
         ids = list(complex_.by_id)
+        self.position = {g: n for n, g in enumerate(ids)}
         self.incl = {g: {g: ONE} for g in ids}
         self.proj = {g: {g: ONE} for g in ids}
+        self.holders = {g: {g} for g in ids}
         self.homotopy = {}
+        self.heap = None
+        if order is not None:
+            self.key = _Largest if order == "reversed" else tuple
+            self.heap = [
+                self.key((self.by_id[g].hdeg, g, h))
+                for g, row in self.diff.items()
+                for h in row
+                if self.is_unit(g, h)
+            ]
+            heapq.heapify(self.heap)
 
-    def entry(self, g, h):
-        return self.diff.get(g, {}).get(h, Fraction(0))
+    def is_unit(self, g, h):
+        """Is the h-component of d(g) nonzero with mdeg h = mdeg g?"""
+        return h in self.diff.get(g, ()) and self.by_id[g].mdeg == self.by_id[h].mdeg
 
-    def _set_entry(self, g, h, value):
-        row = self.diff.setdefault(g, {})
-        if value:
-            if h not in row:
-                self.into.setdefault(h, set()).add(g)
-            row[h] = value
-        else:
-            if h in row:
-                del row[h]
-                self.into[h].discard(g)
-            if not row:
-                del self.diff[g]
+    def next_unit(self):
+        """Pop the next live unit entry (g, h) of the pivot order, or None."""
+        while self.heap:
+            _, g, h = heapq.heappop(self.heap)
+            if self.is_unit(g, h):
+                return g, h
+        return None
 
     def cancel(self, g, h):
         """Cancel the invertible entry h-component of d(g)."""
-        c = self.entry(g, h)
-        assert c and self.by_id[g].mdeg == self.by_id[h].mdeg
+        if not self.is_unit(g, h):
+            raise ValueError(f"d({g}) has no invertible entry at {h} to cancel")
+        c = self.diff[g][h]
         dg = dict(self.diff[g])
         gamma = {k: v for k, v in dg.items() if k != h}
         incl_g = self.incl[g]
+        # proj rows holding h, in basis order (the order homotopy rows appear)
+        at_h = sorted(self.holders.pop(h), key=self.position.__getitem__)
         # homotopy: h |-> -(1/c) g, composed into the running totals
-        for x, prow in self.proj.items():
-            alpha = prow.get(h)
-            if alpha:
-                acc = self.homotopy.setdefault(x, {})
-                for b, v in incl_g.items():
-                    acc[b] = acc.get(b, 0) - alpha / c * v
-                    if not acc[b]:
-                        del acc[b]
-                if not acc:
-                    del self.homotopy[x]
+        for x in at_h:
+            alpha = self.proj[x][h] / c
+            acc = self.homotopy.setdefault(x, {})
+            for b, v in incl_g.items():
+                acc[b] = acc.get(b, 0) - alpha * v
+                if not acc[b]:
+                    del acc[b]
+            if not acc:
+                del self.homotopy[x]
         # projection: g |-> 0, h |-> -(1/c) gamma
-        for x in list(self.proj):
+        for x in self.holders.pop(g):
+            del self.proj[x][g]
+        for x in at_h:
             prow = self.proj[x]
-            cg = prow.pop(g, None)
-            ch = prow.pop(h, None)
-            if ch:
-                for t, v in gamma.items():
-                    prow[t] = prow.get(t, 0) - ch / c * v
-                    if not prow[t]:
-                        del prow[t]
+            ch = prow.pop(h) / c
+            for t, v in gamma.items():
+                prow[t] = prow.get(t, 0) - ch * v
+                if prow[t]:
+                    self.holders[t].add(x)
+                else:
+                    del prow[t]
+                    self.holders[t].discard(x)
         # inclusion of the survivors picks up a correction along g
-        for gp in list(self.into.get(h, ())):
+        for gp in list(self.into[h]):
             if gp == g:
                 continue
-            beta = self.entry(gp, h)
-            self.incl[gp] = _combo_sub(self.incl[gp], beta / c, incl_g)
-            self.diff[gp] = _combo_sub(self.diff[gp], beta / c, dg)
-            if not self.diff[gp]:
+            beta = self.diff[gp][h] / c
+            self.incl[gp] = _combo_sub(self.incl[gp], beta, incl_g)
+            old = self.diff[gp]
+            new = _combo_sub(old, beta, dg)
+            if new:
+                self.diff[gp] = new
+            else:
                 del self.diff[gp]
             self.into[h].discard(gp)
-            for t in dg:
-                if t != h and self.entry(gp, t):
+            for t in gamma:
+                if t in old and t not in new:
+                    self.into[t].discard(gp)
+                elif t in new and t not in old:
                     self.into.setdefault(t, set()).add(gp)
-                elif t != h:
-                    self.into.get(t, set()).discard(gp)
+                    if self.heap is not None and self.is_unit(gp, t):
+                        heapq.heappush(self.heap, self.key((self.by_id[gp].hdeg, gp, t)))
         del self.incl[g], self.incl[h]
         # drop g from differentials of the level above
-        for u in list(self.into.get(g, ())):
-            self._set_entry(u, g, Fraction(0))
+        for u in self.into.pop(g, ()):
+            row = self.diff[u]
+            del row[g]
+            if not row:
+                del self.diff[u]
         # remove the pair
-        for t in self.diff.pop(g, {}):
-            self.into.get(t, set()).discard(g)
+        for t in self.diff.pop(g):
+            self.into[t].discard(g)
         for t in self.diff.pop(h, {}):
-            self.into.get(t, set()).discard(h)
-        self.into.pop(g, None)
+            self.into[t].discard(h)
         self.into.pop(h, None)
-        for bid in (g, h):
-            b = self.by_id.pop(bid)
-            self.bases[b.hdeg].remove(b)
-            if not self.bases[b.hdeg]:
-                del self.bases[b.hdeg]
-
-    def find_unit(self, order="forward"):
-        reverse = order == "reversed"
-        for i in sorted(self.bases, reverse=reverse):
-            found = []
-            for b in self.bases[i]:
-                row = self.diff.get(b.bid)
-                if not row:
-                    continue
-                for h, c in row.items():
-                    if c and self.by_id[h].mdeg == b.mdeg:
-                        found.append((b.bid, h))
-            if found:
-                found.sort(reverse=reverse)
-                return found[0]
-        return None
+        del self.by_id[g], self.by_id[h]
 
     def result(self):
+        bases = {
+            i: [b for b in blist if b.bid in self.by_id]
+            for i, blist in self.base.bases.items()
+        }
         small = FreeComplex(
-            self.base.num_vars, self.bases, self.diff, augmented=self.base.augmented
+            self.base.num_vars, bases, self.diff, augmented=self.base.augmented
         )
         return small, TransferData(self.base, small, self.incl, self.proj, self.homotopy)
 
@@ -208,14 +239,16 @@ class TransferData:
 def minimize(complex_, order="forward"):
     """Cancel unit entries until none remain.
 
-    Pivot policy: scan homological degrees ascending and pick the
-    lexicographically smallest (source id, target id); order="reversed"
-    scans descending/largest, used to confirm rank independence.
+    Pivot policy: always cancel the live unit entry with the smallest
+    (hdeg of source, source id, target id); order="reversed" takes the
+    largest instead, used to confirm rank independence.  The pivots come
+    from a heap that holds every live unit entry (stale ones are dropped
+    on pop), so each step costs the rows it touches, not a rescan.
     Returns (minimal complex, TransferData).
     """
-    red = _Reduction(complex_)
+    red = _Reduction(complex_, order)
     while True:
-        pivot = red.find_unit(order)
+        pivot = red.next_unit()
         if pivot is None:
             break
         red.cancel(*pivot)
@@ -229,12 +262,11 @@ def cancel_pairs(complex_, pairs):
     red = _Reduction(complex_)
     remaining = sorted(pairs)
     while remaining:
-        progress = []
+        progress = set()
         for lower, upper in remaining:
-            c = red.entry(upper, lower)
-            if c and red.by_id[upper].mdeg == red.by_id[lower].mdeg:
+            if red.is_unit(upper, lower):
                 red.cancel(upper, lower)
-                progress.append((lower, upper))
+                progress.add((lower, upper))
         if not progress:
             break
         remaining = [p for p in remaining if p not in progress]

@@ -71,9 +71,9 @@ def test_t_vector_by_hand():
 
 
 def test_t_vector_requires_leading_zero():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="t_0"):
         TVector((1, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="t_0"):
         TVector(())
 
 

@@ -49,9 +49,9 @@ def test_element_algebra():
     assert shifted.mdeg == (3, 1) and shifted.coeffs == a.coeffs
     assert a == Element(1, (1, 1), {(1,): F(-1), (0,): F(2)})
     assert a != b
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="cannot add"):
         a.add(Element(1, (2, 1), {}))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="cannot add"):
         a.add(Element(2, (1, 1), {}))
 
 
@@ -249,7 +249,7 @@ def test_squarefree_part():
 def test_restricted_to_guards_leaks():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     t = taylor_complex(ideal)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="leaves the subcomplex"):
         t.restricted_to([(), (0,), (0, 1)])
 
 

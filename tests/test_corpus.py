@@ -42,9 +42,9 @@ def test_named_ideal_shapes():
 def test_family_edge_cases():
     assert path_ideal(2).k == 1
     assert cycle_ideal(3).k == 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="n >= 2"):
         path_ideal(1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="n >= 3"):
         cycle_ideal(2)
 
 

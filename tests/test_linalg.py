@@ -1,5 +1,6 @@
 """Exact rational linear algebra kernels."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -177,3 +178,73 @@ def test_solve_recovers_consistent_systems(a, data):
     x = solve(a, rhs)
     assert x is not None
     assert mat_vec(a, x) == rhs
+
+
+def _dense_rref(mat, ncols):
+    # reference: the plain elimination, every entry of every row updated
+    r = [[F(c) for c in row] for row in mat]
+    m = len(r)
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, m) if r[i][col]), None)
+        if piv is None:
+            continue
+        r[row], r[piv] = r[piv], r[row]
+        inv = 1 / r[row][col]
+        r[row] = [c * inv for c in r[row]]
+        for i in range(m):
+            if i != row:
+                f = r[i][col]
+                r[i] = [a - f * b for a, b in zip(r[i], r[row])]
+        pivots.append(col)
+    return r, pivots
+
+
+def _sparse_matrix(rng, m, n):
+    def entry():
+        if rng.random() < 0.7:
+            return rng.choice([0, F(0)])
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+    mat = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        mat[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        for row in mat:
+            row[j] = F(0)
+    return mat
+
+
+def test_sparse_rref_agrees_with_dense_reference():
+    rng = random.Random(59)
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        mat = _sparse_matrix(rng, m, n)
+        before = [row[:] for row in mat]
+        ref, ref_pivots = _dense_rref(mat, n)
+        assert rref(mat) == (ref, ref_pivots)
+        assert mat == before  # rref works on a copy
+        assert rank(mat) == len(ref_pivots)
+        expected_kernel = []
+        for free in (j for j in range(n) if j not in ref_pivots):
+            vec = [F(0)] * n
+            vec[free] = F(1)
+            for row, pc in enumerate(ref_pivots):
+                vec[pc] = -ref[row][free]
+            expected_kernel.append(vec)
+        assert nullspace(mat) == expected_kernel
+        x0 = [rng.choice([0, 1, F(-1, 2)]) for _ in range(n)]
+        rhs_list = [mat_vec(mat, x0), [rng.choice([0, 1]) for _ in range(m)]]
+        for rhs, got in zip(rhs_list, solve_many(mat, rhs_list)):
+            aug, pivots = _dense_rref([row + [b] for row, b in zip(mat, rhs)], n)
+            if any(aug[i][n] for i in range(len(pivots), m)):
+                assert got is None
+                continue
+            vec = [F(0)] * n
+            for row, pc in enumerate(pivots):
+                vec[pc] = aug[row][n]
+            assert got == vec and mat_vec(mat, got) == [F(b) for b in rhs]

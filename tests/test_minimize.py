@@ -6,13 +6,16 @@ import pytest
 
 from dgares.complexes import is_minimal, is_resolution, scarf_complex, taylor_complex
 from dgares.corpus import (
+    catalog_ideals,
     cycle_ideal,
+    random_cone_complex,
     random_monomial_ideal,
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
 )
 from dgares.ideals import MonomialIdeal
-from dgares.minimize import cancel_pairs, minimal_resolution, minimize
+from dgares.minimize import _Reduction, cancel_pairs, minimal_resolution, minimize
+from dgares.morse import cone_morse_matching, ideal_from_cone_complex
 from dgares.simplicial import f_vector
 
 
@@ -112,3 +115,97 @@ def test_cancel_pairs_reports_impossible_pairs():
     small, _, leftover = cancel_pairs(t, [((0,), (0, 1))])
     assert leftover == [((0,), (0, 1))]
     assert small.ranks() == t.ranks()
+
+
+def _scanned_unit(red, order):
+    """The pivot search before the heap: rescan every live basis element
+    and take the smallest (hdeg, source, target), or the largest."""
+    reverse = order == "reversed"
+    for i in sorted(red.base.bases, reverse=reverse):
+        found = []
+        for b in red.base.bases[i]:
+            if b.bid not in red.by_id:
+                continue
+            for h, c in red.diff.get(b.bid, {}).items():
+                if c and red.by_id[h].mdeg == b.mdeg:
+                    found.append((b.bid, h))
+        if found:
+            found.sort(reverse=reverse)
+            return found[0]
+    return None
+
+
+def _columns(rows):
+    cols = {}
+    for x, row in rows.items():
+        for t in row:
+            cols.setdefault(t, set()).add(x)
+    return cols
+
+
+def _assert_indexes_exact(red):
+    # the column indexes must name exactly the rows that hold each target
+    assert {t: s for t, s in red.into.items() if s} == _columns(red.diff)
+    assert {t: s for t, s in red.holders.items() if s} == _columns(red.proj)
+    assert set(red.holders) == set(red.by_id)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_heap_picks_the_scanned_pivot(order):
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    rng = random.Random(41)
+    drawn = 0
+    while drawn < 8:
+        # most draws collapse to a few generators, which cancel little
+        ideal = random_monomial_ideal(rng, max_gens=12, max_vars=6, max_exp=2)
+        if 5 <= ideal.k <= 7:
+            ideals.append(ideal)
+            drawn += 1
+    steps = 0
+    for ideal in ideals:
+        red = _Reduction(taylor_complex(ideal), order)
+        while True:
+            expected = _scanned_unit(red, order)
+            assert red.next_unit() == expected
+            if expected is None:
+                break
+            red.cancel(*expected)
+            _assert_indexes_exact(red)
+            steps += 1
+        small, transfer = red.result()
+        assert is_minimal(small) and is_resolution(small, ideal)
+        assert transfer.verify()
+    assert steps > 150, steps
+
+
+def test_cancel_pairs_runs_the_engine_without_a_heap(monkeypatch):
+    cancel = _Reduction.cancel
+    pivots = []
+
+    def checked_cancel(red, g, h):
+        assert red.heap is None
+        cancel(red, g, h)
+        _assert_indexes_exact(red)
+        pivots.append((h, g))
+
+    monkeypatch.setattr(_Reduction, "cancel", checked_cancel)
+    rng = random.Random(43)
+    for _ in range(6):
+        delta = random_cone_complex(rng, max_base_vertices=4)
+        ideal = ideal_from_cone_complex(delta)
+        matching = cone_morse_matching(ideal, delta, delta.num_vertices - 1)
+        t = taylor_complex(ideal)
+        pivots.clear()
+        small, transfer, leftover = cancel_pairs(t, matching)
+        assert leftover == []
+        assert sorted(pivots) == sorted(matching)
+        # the unmatched ids are exactly the faces of the cone
+        assert set(small.by_id) == {tuple(sorted(f)) for f in delta.faces}
+        assert is_minimal(small) and is_resolution(small, ideal)
+        assert transfer.verify()
+
+
+def test_cancel_rejects_a_non_unit_pivot():
+    t = taylor_complex(tagged_four_cycle_ideal())
+    with pytest.raises(ValueError, match="no invertible entry"):
+        _Reduction(t).cancel((0, 1), (0,))

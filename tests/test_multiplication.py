@@ -215,8 +215,10 @@ def test_gauge_equivalent_cap():
 
 _WITHOUT_ASSERTS = """
 import sys
-from dgares.complexes import BasisElement, FreeComplex, taylor_complex
-from dgares.corpus import cycle_ideal
+from dgares.betti import TVector
+from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
+from dgares.corpus import cycle_ideal, path_ideal, taylor_equals_scarf_ideal
+from dgares.minimize import _Reduction
 from dgares.multiplication import Multiplication, check_dga_axioms, gauge_equivalent, taylor_multiplication
 
 if not sys.flags.optimize:
@@ -229,12 +231,27 @@ zeros = [BasisElement((0,), 0, (0,)), BasisElement((1,), 0, (1,))]
 c = FreeComplex(1, {0: zeros}, {}, augmented=False)
 if not check_dga_axioms(Multiplication(c, {})).unit:
     print("unit")
+t = taylor_complex(taylor_equals_scarf_ideal())
+guards = {
+    "add": lambda: Element(1, (1, 0), {}).add(Element(2, (1, 0), {})),
+    "leak": lambda: t.restricted_to([(), (0,), (0, 1)]),
+    "tvector": lambda: TVector((1, 2)),
+    "path": lambda: path_ideal(1),
+    "cycle": lambda: cycle_ideal(2),
+    "pivot": lambda: _Reduction(t).cancel((0, 1), (0,)),
+}
+for name, call in guards.items():
+    try:
+        call()
+    except ValueError:
+        print(name)
 """
 
 
 def test_guards_hold_without_asserts():
     # python -O strips asserts; the gauge cap and the unit check must
-    # still stop a 2^63 search and report a missing unit
+    # still stop a 2^63 search and report a missing unit, and every
+    # input guard must still raise
     src = os.path.dirname(os.path.dirname(os.path.abspath(dgares.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -243,4 +260,4 @@ def test_guards_hold_without_asserts():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["cap", "unit"]
+    assert proc.stdout.split() == ["cap", "unit", "add", "leak", "tvector", "path", "cycle", "pivot"]
