@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from . import linalg
-from .complexes import taylor_complex
+from .complexes import component_on, homology_dims, taylor_complex
 from .ideals import divides, total_degree
 from .lattices import Poset
 from .minimize import minimal_resolution
@@ -64,31 +63,12 @@ def betti_table_direct(ideal, cap=16):
     """
     t = taylor_complex(ideal, cap=cap)
     by_degree = {}
-    for blist in t.bases.values():
+    for i, blist in t.bases.items():
         for b in blist:
-            by_degree.setdefault(b.mdeg, []).append(b)
+            by_degree.setdefault(b.mdeg, {}).setdefault(i, []).append(b.bid)
     entries = {}
-    for a, blist in by_degree.items():
-        by_h = {}
-        for b in blist:
-            by_h.setdefault(b.hdeg, []).append(b.bid)
-        top = max(by_h)
-        ranks = {}
-        for i in range(min(by_h), top + 2):
-            rows = by_h.get(i - 1, [])
-            cols = by_h.get(i, [])
-            if not rows or not cols:
-                ranks[i] = 0
-                continue
-            idx = {h: r for r, h in enumerate(rows)}
-            mat = linalg.zeros(len(rows), len(cols))
-            for ci, g in enumerate(cols):
-                for h, c in t.diff_of(g).items():
-                    if h in idx and t.by_id[h].mdeg == a:
-                        mat[idx[h]][ci] = c
-            ranks[i] = linalg.rank(mat)
-        for i, ids in by_h.items():
-            dim = len(ids) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+    for a, ids in by_degree.items():
+        for i, dim in homology_dims(component_on(t, a, ids)).items():
             if dim:
                 entries[(i, a)] = dim
     return BettiTable(ideal.num_vars, entries)
@@ -110,7 +90,8 @@ def t_vector(table):
     vals = []
     for i in range(top + 1):
         degs = table.degrees(i)
-        assert degs, f"no Betti numbers in hdeg {i} below the projective dimension"
+        if not degs:
+            raise ValueError(f"no Betti numbers in hdeg {i} below the projective dimension")
         vals.append(max(total_degree(a) for a in degs))
     return TVector(tuple(vals))
 

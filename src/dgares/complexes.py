@@ -7,6 +7,13 @@ entry is c * x^(mdeg g - mdeg h).  Because monomial factors telescope
 under composition, dated identities like d∘d = 0 reduce to exact scalar
 identities, and homology in a fixed multidegree becomes plain linear
 algebra over Q.
+
+Scalar coordinates are decided here once: `diff_matrix` is the matrix
+of d between two lists of basis ids, `apply_rows` applies a sparse map
+{id: {id: scalar}} (the differential, a transfer map, a homotopy) to an
+element, and `element_vector`/`vector_element` convert between an
+element and its coordinates on a list of ids.  The Leibniz sweep over
+basis pairs lives in `multiplication.leibniz_sweep`.
 """
 
 from dataclasses import dataclass
@@ -14,9 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .ideals import (
-    divides, join_all, is_squarefree, squarefree_cap, vec_sub, zero_degree,
-)
+from .ideals import divides, is_squarefree, squarefree_cap, vec_sub
 from .lattices import lcm_lattice
 from .simplicial import SimplicialComplex
 
@@ -154,20 +159,13 @@ class FreeComplex:
                     raise ValueError(f"diff entry {g}->{h} does not drop hdeg by one")
                 if not divides(tgt.mdeg, src.mdeg):
                     raise ValueError(f"diff entry {g}->{h} violates multigrading")
-        for g in self.diff:
-            acc = {}
-            for h, c1 in self.diff[g].items():
-                for e, c2 in self.diff_of(h).items():
-                    acc[e] = acc.get(e, 0) + c1 * c2
-            if any(acc.values()):
+        for g, row in self.diff.items():
+            src = self.by_id[g]
+            if apply_rows(self.diff, Element(src.hdeg - 1, src.mdeg, row), src.hdeg - 2).coeffs:
                 raise ValueError(f"d∘d != 0 at {g}")
 
     def apply_diff(self, f):
-        out = {}
-        for g, c in f.coeffs.items():
-            for h, c2 in self.diff_of(g).items():
-                out[h] = out.get(h, 0) + c * c2
-        return Element(f.hdeg - 1, f.mdeg, out)
+        return apply_rows(self.diff, f, f.hdeg - 1)
 
     def restricted_to(self, ids):
         """Subcomplex on the given basis ids; the differential must not
@@ -199,17 +197,11 @@ class FreeComplex:
     def matrices(self):
         """{i: scalar matrix of d_i : F_i -> F_{i-1}} over the full bases,
         rows indexed by the hdeg i-1 basis order, columns by hdeg i."""
-        out = {}
-        for i in range(1, self.max_hdeg + 1):
-            rows = self.basis_at(i - 1)
-            cols = self.basis_at(i)
-            idx = {b.bid: r for r, b in enumerate(rows)}
-            mat = linalg.zeros(len(rows), len(cols))
-            for c, src in enumerate(cols):
-                for h, coeff in self.diff_of(src.bid).items():
-                    mat[idx[h]][c] = coeff
-            out[i] = mat
-        return out
+        ids = {i: [b.bid for b in blist] for i, blist in self.bases.items()}
+        return {
+            i: diff_matrix(self, ids.get(i - 1, []), ids.get(i, []))
+            for i in range(1, self.max_hdeg + 1)
+        }
 
 
 # -- constructions ---------------------------------------------------------
@@ -258,7 +250,8 @@ def scarf_complex(ideal):
     # unique lcms are closed under subsets
     for f in faces:
         for v in f:
-            assert f - {v} in faces
+            if f - {v} not in faces:
+                raise ValueError(f"Scarf faces are not closed under subsets at {sorted(f)}")
     return SimplicialComplex(k, frozenset(faces))
 
 
@@ -311,22 +304,21 @@ class GradedComponent:
 
 def graded_component(complex_, a):
     ids = {}
-    for i, blist in complex_.bases.items():
+    for i in complex_.bases:
         kept = strand_ids(complex_, i, a)
         if kept:
             ids[i] = kept
-    matrices = {}
+    return component_on(complex_, a, ids)
+
+
+def component_on(complex_, a, ids):
+    """The component on the given {hdeg: basis ids} in degree a, with
+    the scalar matrices of d between consecutive hdegs."""
     top = max(ids) if ids else 0
-    for i in range(1, top + 1):
-        rows = ids.get(i - 1, [])
-        cols = ids.get(i, [])
-        idx = {h: r for r, h in enumerate(rows)}
-        mat = linalg.zeros(len(rows), len(cols))
-        for c, g in enumerate(cols):
-            for h, coeff in complex_.diff_of(g).items():
-                # targets stay under a by multigrading
-                mat[idx[h]][c] = coeff
-        matrices[i] = mat
+    matrices = {
+        i: diff_matrix(complex_, ids.get(i - 1, []), ids.get(i, []))
+        for i in range(1, top + 1)
+    }
     return GradedComponent(tuple(a), ids, matrices)
 
 
@@ -426,9 +418,37 @@ def canonical_pairs(complex_):
     return sorted(pairs, key=lambda p: (level(p), p))
 
 
+# -- scalar coordinates ----------------------------------------------------
+
+
+def diff_matrix(complex_, rows, cols):
+    """Scalar matrix of d from the ids `cols` to the ids `rows`; entries
+    landing outside `rows` are left out."""
+    idx = {h: r for r, h in enumerate(rows)}
+    mat = linalg.zeros(len(rows), len(cols))
+    for c, g in enumerate(cols):
+        for h, coeff in complex_.diff_of(g).items():
+            r = idx.get(h)
+            if r is not None:
+                mat[r][c] = coeff
+    return mat
+
+
+def apply_rows(rows, f, hdeg):
+    """The image at hdeg of f under the sparse map rows = {id: {id:
+    scalar}}, in f's multidegree; a missing row reads as zero."""
+    out = {}
+    for g, c in f.coeffs.items():
+        for h, v in rows.get(g, {}).items():
+            out[h] = out.get(h, 0) + c * v
+    return Element(hdeg, f.mdeg, out)
+
+
 def element_vector(f, ids):
+    """Coordinates of f on the given basis ids."""
     return [f.coeffs.get(g, Fraction(0)) for g in ids]
 
 
 def vector_element(hdeg, a, ids, vec):
+    """The element of degree (hdeg, a) with coordinates vec on ids."""
     return Element(hdeg, a, {g: c for g, c in zip(ids, vec) if c})

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import Element, FreeComplex
+from .complexes import Element, FreeComplex, element_vector, vector_element
 from .ideals import scale_ideal, vec_add
 from .minimize import minimal_resolution
-from .multiplication import Multiplication
-from .solve import add_scaled, leibniz_sweep
+from .multiplication import Multiplication, add_scaled, leibniz_sweep
 
 ONE = Fraction(1)
 
@@ -46,10 +45,8 @@ class Homotopy:
         i = f.hdeg
         if i < 0 or i not in self.sigma:
             return Element(i + 1, f.mdeg, {})
-        vec = [f.coeffs.get(g, Fraction(0)) for g in self.orders[i]]
-        out = linalg.mat_vec(self.sigma[i], vec)
-        target = self.orders.get(i + 1, [])
-        return Element(i + 1, f.mdeg, {g: c for g, c in zip(target, out) if c})
+        out = linalg.mat_vec(self.sigma[i], element_vector(f, self.orders[i]))
+        return vector_element(i + 1, f.mdeg, self.orders.get(i + 1, []), out)
 
     def verify(self):
         """Exact matrix check of the contraction identities."""

@@ -156,23 +156,3 @@ def lcm_lattice(ideal):
     atoms = tuple(elements.index(g) for g in ideal.generators)
     return LcmLattice(ideal, elements, atoms)
 
-
-def betti_poset(ideal, table):
-    """Poset of multidegrees with a nonzero Betti number, under divisibility.
-
-    `table` is a BettiTable-like object with an `entries` dict keyed by
-    (hdeg, multidegree).  Includes the bottom degree (beta_0 = 1 at 0).
-    Raises ValueError when the table carries a degree outside the lcm
-    lattice of `ideal`.
-    """
-    lattice = lcm_lattice(ideal)
-    lattice_elems = set(lattice.elements)
-    degrees = set()
-    for (_, a), count in table.entries.items():
-        if count <= 0:
-            continue
-        if a not in lattice_elems:
-            raise ValueError(f"Betti degree {a} is not an lcm of generators of the ideal")
-        degrees.add(a)
-    elems = sorted(degrees, key=lambda d: (total_degree(d), d))
-    return Poset.from_leq(elems, divides)

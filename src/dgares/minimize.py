@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Element, FreeComplex
+from .complexes import FreeComplex, apply_rows
 
 ONE = Fraction(1)
 
@@ -186,25 +186,13 @@ class TransferData:
     homotopy: dict
 
     def incl_element(self, f):
-        out = {}
-        for g, c in f.coeffs.items():
-            for b, v in self.incl[g].items():
-                out[b] = out.get(b, 0) + c * v
-        return Element(f.hdeg, f.mdeg, out)
+        return apply_rows(self.incl, f, f.hdeg)
 
     def proj_element(self, f):
-        out = {}
-        for g, c in f.coeffs.items():
-            for b, v in self.proj.get(g, {}).items():
-                out[b] = out.get(b, 0) + c * v
-        return Element(f.hdeg, f.mdeg, out)
+        return apply_rows(self.proj, f, f.hdeg)
 
     def homotopy_element(self, f):
-        out = {}
-        for g, c in f.coeffs.items():
-            for b, v in self.homotopy.get(g, {}).items():
-                out[b] = out.get(b, 0) + c * v
-        return Element(f.hdeg + 1, f.mdeg, out)
+        return apply_rows(self.homotopy, f, f.hdeg + 1)
 
     def verify(self):
         """Exact check of proj∘incl = id and incl∘proj - id = dH + Hd."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .complexes import strand_ids
+from .complexes import element_vector, strand_ids
 from .ideals import MonomialIdeal, divides
 from .lattices import Poset, lcm_lattice, poset_isomorphic
 from .minimize import cancel_pairs
@@ -91,18 +91,22 @@ def cone_morse_matching(ideal, delta, apex):
     In a cone with this apex, adding or removing the apex maps
     non-faces to non-faces, so the pairing is perfect on non-faces and
     the unmatched ids are exactly the faces of delta.  Pairs come back
-    as (lower, upper) in cancellation order.
+    as (lower, upper) in cancellation order.  Raises ValueError when the
+    vertex count differs from the generator count or delta is no cone
+    with this apex.
     """
     faces = {tuple(sorted(f)) for f in delta.faces}
     k = ideal.k
-    assert delta.num_vertices == k
+    if delta.num_vertices != k:
+        raise ValueError(f"the complex has {delta.num_vertices} vertices but the ideal {k} generators")
     matching = []
     for size in range(1, k + 1):
         for w in combinations(range(k), size):
             if w in faces or apex not in w:
                 continue
             lower = tuple(v for v in w if v != apex)
-            assert lower not in faces, (lower, w)
+            if lower in faces:
+                raise ValueError(f"{lower} is a face but {w} is not: no cone with apex {apex}")
             matching.append((lower, w))
     return matching
 
@@ -202,8 +206,7 @@ def in_matched_span(complex_, uppers, f):
         elif bw.hdeg == f.hdeg + 1 and divides(bw.mdeg, f.mdeg):
             d = complex_.diff_of(w)
             rows.append([d.get(c, ZERO) for c in cols])
-    vec = [f.coeffs.get(c, ZERO) for c in cols]
-    return linalg.in_row_space(rows, vec)
+    return linalg.in_row_space(rows, element_vector(f, cols))
 
 
 def dga_ideal_check(mult, matching, max_witnesses=10):

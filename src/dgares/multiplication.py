@@ -47,6 +47,38 @@ def lookup(by_id, table, a, b, one):
     return table.get(key, {}), sign
 
 
+def add_scaled(acc, c, row):
+    """acc += c * row on rows of plain scalars."""
+    for w, x in row.items():
+        acc[w] = acc.get(w, 0) + c * x
+
+
+def leibniz_sweep(complex_, table, one, accumulate):
+    """Walk the canonical pairs level by level and yield (pair, rhs),
+    rhs = d(u)*v + (-1)^|u| u*d(v) as {target id: scalar}.
+
+    The lower products come from `table` through the sign-folded lookup;
+    the caller stores each pair's row there before asking for the next
+    pair, so every level below is complete when a pair comes up.  `one`
+    (the unit scalar) and `accumulate` (add_scaled, or
+    solve.aff_add_scaled for affine scalars) fix the scalar type of the
+    rows.  rhs is None when it draws on a row stored as None."""
+    by_id = complex_.by_id
+    for pair in canonical_pairs(complex_):
+        u, v = pair
+        s = -ONE if by_id[u].hdeg % 2 else ONE
+        terms = [(h, v, d) for h, d in complex_.diff_of(u).items()]
+        terms += [(u, h, s * d) for h, d in complex_.diff_of(v).items()]
+        rho = {}
+        for a, b, d in terms:
+            row, sign = lookup(by_id, table, a, b, one)
+            if row is None:
+                rho = None
+                break
+            accumulate(rho, sign * d, row)
+        yield pair, rho
+
+
 class Multiplication:
     """A bilinear product on a free complex, given on basis pairs.
 
@@ -155,19 +187,12 @@ def transfer_multiplication(mult, transfer):
     if mult.complex is not transfer.big:
         raise ValueError("the multiplication lives on another complex than the transfer's")
     small = transfer.small
-    ids = small.positive_ids()
-    included = {}
-    for w in ids:
-        be = small.by_id[w]
-        included[w] = transfer.incl_element(Element(be.hdeg, be.mdeg, {w: ONE}))
+    included = {w: transfer.incl_element(small.basis_element(w)) for w in small.positive_ids()}
     table = {}
-    for pos, u in enumerate(ids):
-        for v in ids[pos:]:
-            if u == v and small.by_id[u].hdeg % 2 == 1:
-                continue  # odd square, structurally zero
-            back = transfer.proj_element(mult.multiply(included[u], included[v]))
-            if back.coeffs:
-                table[(u, v)] = dict(back.coeffs)
+    for u, v in canonical_pairs(small):
+        back = transfer.proj_element(mult.multiply(included[u], included[v]))
+        if back.coeffs:
+            table[(u, v)] = dict(back.coeffs)
     return Multiplication(small, table)
 
 
@@ -212,6 +237,8 @@ def check_dga_axioms(mult, associativity=True, max_witnesses=10):
     Bilinearity over S makes the basis checks sufficient, and graded
     commutativity plus Leibniz on the stored orientation imply Leibniz
     on the swapped orientation, so canonical pairs suffice there too.
+    The Leibniz residual of a pair is d(e_u e_v) minus the right-hand
+    side of leibniz_sweep; its witnesses come in pair order.
     """
     complex_ = mult.complex
     report = AxiomReport()
@@ -244,19 +271,16 @@ def check_dga_axioms(mult, associativity=True, max_witnesses=10):
                     if len(report.multigraded_failures) < max_witnesses:
                         report.multigraded_failures.append((u, v, w))
 
-    pairs = mult.pairs()
-    for u, v in pairs:
-        fu = complex_.basis_element(u)
-        fv = complex_.basis_element(v)
-        lhs = complex_.apply_diff(mult.product(u, v))
-        rhs = mult.multiply(complex_.apply_diff(fu), fv).add(
-            mult.multiply(fu, complex_.apply_diff(fv)).scale(ONE * (-1) ** fu.hdeg)
-        )
-        residual = lhs.sub(rhs)
+    failures = []
+    for (u, v), rhs in leibniz_sweep(complex_, mult.table, ONE, add_scaled):
+        bu, bv = by_id[u], by_id[v]
+        product = Element(bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg), mult.table.get((u, v)))
+        residual = complex_.apply_diff(product).sub(Element(product.hdeg - 1, product.mdeg, rhs))
         if not residual.is_zero():
-            report.leibniz = False
-            if len(report.leibniz_failures) < max_witnesses:
-                report.leibniz_failures.append((u, v, residual))
+            failures.append((u, v, residual))
+    failures.sort(key=lambda witness: witness[:2])
+    report.leibniz = not failures
+    report.leibniz_failures = failures[:max_witnesses]
 
     if associativity:
         for witness in associators(mult):

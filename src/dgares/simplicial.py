@@ -108,7 +108,8 @@ def _cascade(value, rank):
         rep.append((a, r))
         rest -= comb(a, r)
         r -= 1
-    assert rest == 0
+    if rest:
+        raise ValueError(f"no binomial representation of {value} at rank {rank}")
     return rep
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import Element, canonical_pairs, strand_ids
+from .complexes import Element, canonical_pairs, diff_matrix, strand_ids
 from .ideals import vec_add
-from .multiplication import Multiplication, associators, lookup
+# add_scaled and leibniz_sweep are re-exported from here
+from .multiplication import Multiplication, add_scaled, associators, leibniz_sweep, lookup
 
 ONE = Fraction(1)
 CONST = -1
@@ -48,42 +49,10 @@ def aff_eval(a, values):
     return out
 
 
-def add_scaled(acc, c, row):
-    """acc += c * row on rows of plain scalars."""
-    for w, x in row.items():
-        acc[w] = acc.get(w, 0) + c * x
-
-
 def aff_add_scaled(acc, c, row):
     """acc += c * row on rows of affine scalars."""
     for w, aff in row.items():
         acc[w] = aff_add(acc.get(w, {}), aff_scale(aff, c))
-
-
-def leibniz_sweep(complex_, table, one, accumulate):
-    """Walk the canonical pairs level by level and yield (pair, rhs),
-    rhs = d(u)*v + (-1)^|u| u*d(v) as {target id: scalar}.
-
-    The lower products come from `table` through the sign-folded lookup;
-    the caller stores each pair's row there before asking for the next
-    pair, so every level below is complete when a pair comes up.  `one`
-    (the unit scalar) and `accumulate` (add_scaled or aff_add_scaled)
-    fix the scalar type of the rows.  rhs is None when it draws on a
-    row stored as None."""
-    by_id = complex_.by_id
-    for pair in canonical_pairs(complex_):
-        u, v = pair
-        s = -ONE if by_id[u].hdeg % 2 else ONE
-        terms = [(h, v, d) for h, d in complex_.diff_of(u).items()]
-        terms += [(u, h, s * d) for h, d in complex_.diff_of(v).items()]
-        rho = {}
-        for a, b, d in terms:
-            row, sign = lookup(by_id, table, a, b, one)
-            if row is None:
-                rho = None
-                break
-            accumulate(rho, sign * d, row)
-        yield pair, rho
 
 
 def _strand_data(complex_, u, v):
@@ -94,12 +63,7 @@ def _strand_data(complex_, u, v):
     degree = vec_add(bu.mdeg, bv.mdeg)
     targets = strand_ids(complex_, level, degree)
     below = strand_ids(complex_, level - 1, degree)
-    idx = {h: r for r, h in enumerate(below)}
-    mat = linalg.zeros(len(below), len(targets))
-    for c, w in enumerate(targets):
-        for h, coeff in complex_.diff_of(w).items():
-            mat[idx[h]][c] = coeff
-    return degree, targets, below, mat
+    return degree, targets, below, diff_matrix(complex_, below, targets)
 
 
 @dataclass

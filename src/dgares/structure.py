@@ -27,10 +27,14 @@ from . import linalg
 from .betti import betti_table
 from .complexes import (
     Element,
+    apply_rows,
+    canonical_pairs,
+    element_vector,
     scarf_complex,
     squarefree_part,
     strand_ids,
     taylor_complex,
+    vector_element,
 )
 from .ideals import (
     MonomialIdeal,
@@ -134,11 +138,8 @@ def degree_one_generation(mult, max_witnesses=10):
             spans.setdefault(sq.mdeg, []).append(sq)
         for b in F.basis_at(i):
             window = strand_ids(F, i, b.mdeg)
-            rows = [
-                [e.coeffs.get(w, ZERO) for w in window]
-                for e in spans.get(b.mdeg, [])
-            ]
-            target = [ONE if w == b.bid else ZERO for w in window]
+            rows = [element_vector(e, window) for e in spans.get(b.mdeg, [])]
+            target = element_vector(F.basis_element(b.bid), window)
             if not linalg.in_row_space(rows, target):
                 witnesses.append(b.bid)
     return not witnesses, witnesses[:max_witnesses]
@@ -164,9 +165,8 @@ def in_degree_one_span(mult, bid):
         p = nested_product(mult, list(seq))
         if not p.coeffs or not divides(p.mdeg, b.mdeg):
             continue
-        rows.append([p.coeffs.get(w, ZERO) for w in window])
-    target = [ONE if w == bid else ZERO for w in window]
-    return linalg.in_row_space(rows, target)
+        rows.append(element_vector(p, window))
+    return linalg.in_row_space(rows, element_vector(F.basis_element(bid), window))
 
 
 @dataclass
@@ -193,11 +193,7 @@ class TaylorMap:
 
     def image_of(self, f):
         """Push an element of the Taylor complex through the map."""
-        out = {}
-        for bid, c in f.coeffs.items():
-            for w, cw in self.images[bid].coeffs.items():
-                out[w] = out.get(w, ZERO) + c * cw
-        return Element(f.hdeg, f.mdeg, out)
+        return apply_rows({bid: self.images[bid].coeffs for bid in f.coeffs}, f, f.hdeg)
 
     def verify_chain_map(self):
         T = self.taylor
@@ -211,14 +207,13 @@ class TaylorMap:
         return True
 
     def verify_algebra_map(self):
-        """phi(a *_T b) == phi(a) * phi(b) on all basis pairs."""
-        ids = self.taylor.positive_ids()
-        for pos, u in enumerate(ids):
-            for v in ids[pos:]:
-                lhs = self.image_of(self.taylor_mult.product(u, v))
-                rhs = self.target_mult.multiply(self.images[u], self.images[v])
-                if lhs != rhs:
-                    return False
+        """phi(a *_T b) == phi(a) * phi(b) on all basis pairs; both
+        products are graded commutative, so canonical pairs suffice."""
+        for u, v in canonical_pairs(self.taylor):
+            lhs = self.image_of(self.taylor_mult.product(u, v))
+            rhs = self.target_mult.multiply(self.images[u], self.images[v])
+            if lhs != rhs:
+                return False
         return True
 
     def _window(self, hdeg, a):
@@ -226,11 +221,7 @@ class TaylorMap:
         whose degree divides a, over the matching target window."""
         srcs = strand_ids(self.taylor, hdeg, a)
         cols = strand_ids(self.target, hdeg, a)
-        rows = [
-            [self.images[bid].coeffs.get(w, ZERO) for w in cols]
-            for bid in srcs
-        ]
-        return srcs, cols, rows
+        return srcs, cols, [element_vector(self.images[bid], cols) for bid in srcs]
 
     def surjective(self):
         """Rank test per (hdeg, exact multidegree) group of the target
@@ -262,18 +253,16 @@ class TaylorMap:
         # combinations sum_j v_j x^(a - m_j) g_j; kernel = left kernel of rows
         transposed = [[rows[r][c] for r in range(len(srcs))] for c in range(len(rows[0]))] if rows and rows[0] else []
         vecs = linalg.nullspace(transposed, n=len(srcs))
-        return [
-            Element(hdeg, a, {bid: v[j] for j, bid in enumerate(srcs)})
-            for v in vecs
-        ]
+        return [vector_element(hdeg, a, srcs, v) for v in vecs]
 
 
 def taylor_algebra_map(ideal, mult, cap=16):
     """Build the Taylor-algebra surjection onto an associative DGA
     structure on a minimal resolution of a squarefree ideal.
 
-    Raises ValueError when the ideal is not squarefree or the
-    multiplication fails any DGA axiom (associativity included).
+    Raises ValueError when the ideal is not squarefree, the
+    multiplication fails any DGA axiom (associativity included), or its
+    complex does not carry the generators and Taylor degrees of the ideal.
     """
     if not ideal.is_squarefree():
         raise ValueError("the Taylor algebra map needs a squarefree ideal")
@@ -289,12 +278,14 @@ def taylor_algebra_map(ideal, mult, cap=16):
             if i == 1:
                 # hdeg-1 basis survives minimization (generator degrees
                 # form an antichain, so no unit pivot exists there)
-                assert b.bid in F.by_id
+                if b.bid not in F.by_id:
+                    raise ValueError(f"the generator {b.bid} is not a basis id of the resolution")
                 images[b.bid] = F.basis_element(b.bid)
             else:
                 p = nested_product(mult, [(j,) for j in b.bid])
                 _, sq = squarefree_part(F, p)
-                assert sq.mdeg == b.mdeg
+                if sq.mdeg != b.mdeg:
+                    raise ValueError(f"the image of {b.bid} lands in degree {sq.mdeg}, not {b.mdeg}")
                 images[b.bid] = sq
     return TaylorMap(T, MT, mult, images)
 
@@ -508,12 +499,9 @@ def hilbert_cone_check(mult, attempts=8):
         if got == exp_rank[1:]:
             certified = True
             break
+    # c_i = rank_i - exp_rank_i and exp_rank_i = c_{i-1} (with c_{-1} =
+    # 0), so the splitting rank_i = c_i + c_{i-1} holds by construction
     cycles = tuple(hf[i] - exp_rank[i] for i in range(len(hf)))
-    # with c_{-1} = 0 the splitting is then an identity
-    assert all(
-        hf[i] == cycles[i] + (cycles[i - 1] if i >= 1 else 0)
-        for i in range(len(hf))
-    )
     base = cone_deconvolve(tuple(hf))
     return HilbertConeReport(tuple(hf), base, cycles, certified and closes)
 

@@ -68,6 +68,9 @@ def test_t_vector_by_hand():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     tv = t_vector(betti_table(ideal))
     assert tv.values == (0, 2, 3, 4)
+    # a table with a gap below its projective dimension has no t-vector
+    with pytest.raises(ValueError, match="no Betti numbers in hdeg 1"):
+        t_vector(BettiTable(2, {(0, (0, 0)): 1, (2, (1, 1)): 1}))
 
 
 def test_t_vector_requires_leading_zero():

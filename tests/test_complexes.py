@@ -11,6 +11,8 @@ from dgares.complexes import (
     Element,
     FreeComplex,
     algebraic_scarf,
+    apply_rows,
+    diff_matrix,
     element_vector,
     exactness_test_degrees,
     graded_component,
@@ -139,6 +141,21 @@ def test_matrices_shapes_and_content():
     assert len(mats[1]) == 1 and len(mats[1][0]) == 3
     assert mats[1] == [[F(1), F(1), F(1)]]
     assert len(mats[3]) == 3 and len(mats[3][0]) == 1
+
+
+def test_diff_matrix_leaves_out_foreign_targets():
+    t = taylor_complex(MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1))))
+    # d(g_01) = g_1 - g_0 and d(g_02) = g_2 - g_0; only the row of g_0 is kept
+    assert diff_matrix(t, [(0,)], [(0, 1), (0, 2)]) == [[F(-1), F(-1)]]
+    assert diff_matrix(t, [(2,), (0,)], [(0, 2)]) == [[F(1)], [F(-1)]]
+    assert diff_matrix(t, [], [(0, 1)]) == []
+
+
+def test_apply_rows_reads_a_missing_row_as_zero():
+    f = Element(1, (1, 1), {(0,): F(3), (1,): F(1)})
+    image = apply_rows({(0,): {(5,): F(2), (6,): F(-1)}}, f, 4)
+    assert image == Element(4, (1, 1), {(5,): F(6), (6,): F(-3)})
+    assert apply_rows({}, f, 0).is_zero()
 
 
 def test_scarf_of_generic_ideal_is_everything():

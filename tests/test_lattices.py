@@ -9,8 +9,7 @@ from dgares.lattices import (
     lcm_lattice,
     poset_isomorphic,
 )
-from dgares.betti import betti_table
-from dgares.lattices import betti_poset as lattice_betti_poset
+from dgares.betti import betti_poset, betti_table
 
 
 def divisor_poset(n):
@@ -100,20 +99,11 @@ def test_lcm_lattice_collapses_duplicate_joins():
     assert set(lat.elements) == {(0, 0), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)}
 
 
-def test_lattice_betti_poset_contents():
+def test_betti_poset_contents():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     table = betti_table(ideal)
-    p = lattice_betti_poset(ideal, table)
+    p = betti_poset(table)
     assert set(p.elements) == {a for (_, a) in table.entries}
     for a in p.elements:
         for b in p.elements:
             assert p.le(a, b) == divides(a, b)
-
-
-def test_lattice_betti_poset_rejects_foreign_degrees():
-    ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
-    table = betti_table(ideal)
-    bad = type(table)(table.num_vars, dict(table.entries))
-    bad.entries[(1, (5, 5))] = 1
-    with pytest.raises(ValueError):
-        lattice_betti_poset(ideal, bad)

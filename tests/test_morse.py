@@ -93,6 +93,17 @@ def test_cone_matching_on_the_path_cone():
     assert report.acyclic
 
 
+def test_cone_matching_rejects_a_mismatched_complex():
+    delta = path3_cone()
+    small = cone(SimplicialComplex.from_faces(2, [(0,), (1,)]))
+    with pytest.raises(ValueError, match="4 vertices but the ideal 3 generators"):
+        cone_morse_matching(ideal_from_cone_complex(small), delta, 3)
+    # two points are no cone: the edge is a non-face over the face (0,)
+    apart = SimplicialComplex.from_faces(2, [(0,), (1,)])
+    with pytest.raises(ValueError, match="no cone with apex 1"):
+        cone_morse_matching(ideal_from_cone_complex(apart), apart, 1)
+
+
 def test_verify_morse_matching_flags():
     taylor = taylor_complex(cycle_ideal(4))
     # opposite edges of the 4-cycle already cover all four variables, so

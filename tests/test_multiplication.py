@@ -11,11 +11,13 @@ import pytest
 import dgares
 from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
 from dgares.corpus import (
+    catalog_ideals,
     cycle_ideal,
     random_monomial_ideal,
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
+from dgares.homotopy import laurent_dga
 from dgares.minimize import minimize
 from dgares.multiplication import (
     Multiplication,
@@ -26,6 +28,7 @@ from dgares.multiplication import (
     taylor_multiplication,
     transfer_multiplication,
 )
+from dgares.solve import leibniz_solution_space
 
 F = Fraction
 
@@ -215,11 +218,13 @@ def test_gauge_equivalent_cap():
 
 _WITHOUT_ASSERTS = """
 import sys
-from dgares.betti import TVector
+from dgares.betti import BettiTable, TVector, t_vector
 from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
 from dgares.corpus import cycle_ideal, path_ideal, taylor_equals_scarf_ideal
 from dgares.minimize import _Reduction
+from dgares.morse import cone_morse_matching, ideal_from_cone_complex
 from dgares.multiplication import Multiplication, check_dga_axioms, gauge_equivalent, taylor_multiplication
+from dgares.simplicial import SimplicialComplex, _cascade, cone
 
 if not sys.flags.optimize:
     sys.exit(3)
@@ -232,6 +237,7 @@ c = FreeComplex(1, {0: zeros}, {}, augmented=False)
 if not check_dga_axioms(Multiplication(c, {})).unit:
     print("unit")
 t = taylor_complex(taylor_equals_scarf_ideal())
+points = SimplicialComplex.from_faces(2, [(0,), (1,)])
 guards = {
     "add": lambda: Element(1, (1, 0), {}).add(Element(2, (1, 0), {})),
     "leak": lambda: t.restricted_to([(), (0,), (0, 1)]),
@@ -239,6 +245,11 @@ guards = {
     "path": lambda: path_ideal(1),
     "cycle": lambda: cycle_ideal(2),
     "pivot": lambda: _Reduction(t).cancel((0, 1), (0,)),
+    "cone": lambda: cone_morse_matching(
+        ideal_from_cone_complex(cone(points)), cone(SimplicialComplex.from_faces(3, [(0,), (1,), (2,)])), 3),
+    "noncone": lambda: cone_morse_matching(ideal_from_cone_complex(points), points, 1),
+    "gap": lambda: t_vector(BettiTable(2, {(0, (0, 0)): 1, (2, (1, 1)): 1})),
+    "cascade": lambda: _cascade(5, 0),
 }
 for name, call in guards.items():
     try:
@@ -260,4 +271,71 @@ def test_guards_hold_without_asserts():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["cap", "unit", "add", "leak", "tvector", "path", "cycle", "pivot"]
+    assert proc.stdout.split() == [
+        "cap", "unit", "add", "leak", "tvector", "path", "cycle", "pivot", "cone", "noncone", "gap",
+        "cascade",
+    ]
+
+
+def _elementwise_leibniz(mult, max_witnesses):
+    """The Leibniz check as check_dga_axioms ran it before the sweep:
+    d(e_u e_v) - (du * e_v + (-1)^|u| e_u * dv) on every pair, with
+    Element products and differentials."""
+    complex_ = mult.complex
+    failures = []
+    for u, v in mult.pairs():
+        fu = complex_.basis_element(u)
+        fv = complex_.basis_element(v)
+        lhs = complex_.apply_diff(mult.product(u, v))
+        rhs = mult.multiply(complex_.apply_diff(fu), fv).add(
+            mult.multiply(fu, complex_.apply_diff(fv)).scale(F(-1) ** fu.hdeg)
+        )
+        residual = lhs.sub(rhs)
+        if not residual.is_zero():
+            failures.append((u, v, residual))
+    return not failures, failures[:max_witnesses]
+
+
+def _perturbed(mult, rng):
+    """The same table with one entry moved by a nonzero scalar."""
+    complex_ = mult.complex
+    pairs = [
+        (u, v) for u, v in mult.pairs()
+        if complex_.basis_at(complex_.by_id[u].hdeg + complex_.by_id[v].hdeg)
+    ]
+    u, v = rng.choice(pairs)
+    targets = complex_.basis_at(complex_.by_id[u].hdeg + complex_.by_id[v].hdeg)
+    w = rng.choice(targets).bid
+    table = {p: dict(r) for p, r in mult.table.items()}
+    row = table.setdefault((u, v), {})
+    row[w] = row.get(w, 0) + F(rng.choice([-2, -1, 1, 3]))
+    return Multiplication(complex_, table, laurent=mult.laurent, check=False)
+
+
+def test_swept_leibniz_matches_the_elementwise_check():
+    rng = random.Random(11)
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    ideals += [random_monomial_ideal(rng, max_gens=6, squarefree=s % 2 == 0) for s in range(8)]
+    compared = failing = 0
+    for ideal in ideals:
+        t = taylor_complex(ideal)
+        small, transfer = minimize(t)
+        products = (
+            transfer_multiplication(taylor_multiplication(t), transfer),
+            leibniz_solution_space(small).particular(),
+            laurent_dga(small),
+        )
+        for mult in products:
+            if not mult.pairs():
+                continue
+            for candidate in (mult, _perturbed(mult, rng)):
+                for max_witnesses in (2, 10):
+                    flag, witnesses = _elementwise_leibniz(candidate, max_witnesses)
+                    report = check_dga_axioms(candidate, associativity=False, max_witnesses=max_witnesses)
+                    assert report.leibniz == flag
+                    assert report.leibniz_failures == witnesses
+                    compared += 1
+                    failing += not flag
+    # every unperturbed product is Leibniz, so the witnesses come from
+    # the perturbed tables, and some of those fail on several pairs
+    assert compared >= 100 and failing >= compared // 3

@@ -32,6 +32,7 @@ from dgares.multiplication import (
 )
 from dgares.solve import leibniz_solution_space
 from dgares.structure import (
+    TaylorMap,
     avramov_obstruction,
     degree_one_generation,
     hilbert_cone_check,
@@ -138,6 +139,10 @@ def test_taylor_algebra_map_full_run():
         assert phi.image_of(vec).is_zero()
         # the kernel is a DG-ideal: differentials of kernel vectors die too
         assert phi.image_of(phi.taylor.apply_diff(vec)).is_zero()
+    # a flipped image of g_01 breaks phi(g_0 g_1) = phi(g_0) phi(g_1)
+    flipped = dict(phi.images)
+    flipped[(0, 1)] = phi.images[(0, 1)].neg()
+    assert not TaylorMap(phi.taylor, phi.taylor_mult, phi.target_mult, flipped).verify_algebra_map()
 
 
 def test_taylor_algebra_map_rejects_bad_inputs():
