@@ -12,8 +12,11 @@ Scalar coordinates are decided here once: `diff_matrix` is the matrix
 of d between two lists of basis ids, `apply_rows` applies a sparse map
 {id: {id: scalar}} (the differential, a transfer map, a homotopy) to an
 element, and `element_vector`/`vector_element` convert between an
-element and its coordinates on a list of ids.  The Leibniz sweep over
-basis pairs lives in `multiplication.leibniz_sweep`.
+element and its coordinates on a list of ids.  Identities of such maps
+are checked here once, on every basis element: `is_chain_map` (dm = md) and
+`is_homotopy` (lhs = dh + hd).  The contraction of the scalar
+complex (`homotopy.Homotopy`) is a sparse row map too.  The Leibniz
+sweep over basis pairs lives in `multiplication.leibniz_sweep`.
 """
 
 from dataclasses import dataclass
@@ -101,7 +104,7 @@ class FreeComplex:
 
     __slots__ = ("num_vars", "bases", "diff", "augmented", "by_id")
 
-    def __init__(self, num_vars, bases, diff, augmented=True, check=True):
+    def __init__(self, num_vars, bases, diff, augmented=True):
         self.num_vars = num_vars
         self.bases = {i: list(b) for i, b in bases.items() if b}
         self.diff = {g: {h: c for h, c in row.items() if c} for g, row in diff.items()}
@@ -113,8 +116,7 @@ class FreeComplex:
                 if b.bid in self.by_id:
                     raise ValueError(f"duplicate basis id {b.bid}")
                 self.by_id[b.bid] = b
-        if check:
-            self.validate()
+        self.validate()
 
     # -- structure ---------------------------------------------------------
 
@@ -442,6 +444,29 @@ def apply_rows(rows, f, hdeg):
         for h, v in rows.get(g, {}).items():
             out[h] = out.get(h, 0) + c * v
     return Element(hdeg, f.mdeg, out)
+
+
+def is_chain_map(src, tgt, rows):
+    """Does the degree-preserving sparse map rows from src to tgt
+    commute with the differentials on every basis element of src?"""
+    for g in src.by_id:
+        f = src.basis_element(g)
+        image = tgt.apply_diff(apply_rows(rows, f, f.hdeg))
+        if image != apply_rows(rows, src.apply_diff(f), f.hdeg - 1):
+            return False
+    return True
+
+
+def is_homotopy(complex_, rows, lhs):
+    """Is lhs(f) = d(hf) + h(df) on every basis element f, for the
+    sparse map h = rows raising hdeg by one?"""
+    for g in complex_.by_id:
+        f = complex_.basis_element(g)
+        dh = complex_.apply_diff(apply_rows(rows, f, f.hdeg + 1))
+        hd = apply_rows(rows, complex_.apply_diff(f), f.hdeg)
+        if lhs(f) != dh.add(hd):
+            return False
+    return True
 
 
 def element_vector(f, ids):

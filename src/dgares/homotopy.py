@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import Element, FreeComplex, element_vector, vector_element
+from .complexes import Element, FreeComplex, apply_rows, is_homotopy
 from .ideals import scale_ideal, vec_add
 from .minimize import minimal_resolution
 from .multiplication import Multiplication, add_scaled, leibniz_sweep
@@ -25,52 +25,31 @@ ONE = Fraction(1)
 
 
 class Homotopy:
-    """A contraction of the scalar complex: sigma[i] maps scalar
-    coordinates at hdeg i to hdeg i+1, with d sigma + sigma d = id,
-    sigma sigma = 0 and sigma d sigma = sigma."""
+    """A contraction of the scalar complex, stored as the sparse row map
+    sigma = {id at hdeg i: {id at hdeg i+1: scalar}}, with
+    d sigma + sigma d = id, sigma sigma = 0 and sigma d sigma = sigma."""
 
-    __slots__ = ("complex", "sigma", "orders")
+    __slots__ = ("complex", "sigma")
 
     def __init__(self, complex_, sigma):
         self.complex = complex_
         self.sigma = sigma
-        self.orders = {
-            i: [b.bid for b in complex_.basis_at(i)]
-            for i in range(complex_.max_hdeg + 1)
-        }
 
     def apply(self, f):
         """sigma on an element; the multidegree rides along unchanged,
         so the result is Laurent in general."""
-        i = f.hdeg
-        if i < 0 or i not in self.sigma:
-            return Element(i + 1, f.mdeg, {})
-        out = linalg.mat_vec(self.sigma[i], element_vector(f, self.orders[i]))
-        return vector_element(i + 1, f.mdeg, self.orders.get(i + 1, []), out)
+        return apply_rows(self.sigma, f, f.hdeg + 1)
 
     def verify(self):
-        """Exact matrix check of the contraction identities."""
-        mats = self.complex.matrices()
-        top = self.complex.max_hdeg
-        sizes = {i: len(self.orders.get(i, [])) for i in range(top + 2)}
-        for i in range(top + 1):
-            n = sizes[i]
-            acc = linalg.zeros(n, n)
-            if i + 1 in mats and sizes[i + 1]:
-                acc = linalg.mat_mul(mats[i + 1], self.sigma[i])
-            if i >= 1 and sizes[i - 1]:
-                lower = linalg.mat_mul(self.sigma[i - 1], mats[i])
-                acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, lower)]
-            if acc != linalg.identity(n):
+        """Exact check of the contraction identities on every basis
+        element."""
+        F = self.complex
+        if not is_homotopy(F, self.sigma, lambda f: f):
+            return False
+        for g in F.by_id:
+            s = self.apply(F.basis_element(g))
+            if self.apply(s).coeffs or self.apply(F.apply_diff(s)) != s:
                 return False
-            if i + 1 <= top and sizes[i + 1]:
-                if any(any(row) for row in linalg.mat_mul(self.sigma[i + 1], self.sigma[i])):
-                    return False
-                sds = linalg.mat_mul(
-                    self.sigma[i], linalg.mat_mul(mats[i + 1], self.sigma[i])
-                )
-                if sds != self.sigma[i]:
-                    return False
         return True
 
 
@@ -90,11 +69,11 @@ def contracting_homotopy(complex_):
     which means the input was not a resolution."""
     mats = complex_.matrices()
     top = complex_.max_hdeg
-    sizes = {i: len(complex_.basis_at(i)) for i in range(top + 2)}
+    ids = {i: [b.bid for b in complex_.basis_at(i)] for i in range(top + 2)}
     pivots = {i: _pivot_columns(mats.get(i)) for i in range(1, top + 2)}
     sigma = {}
     for i in range(top + 1):
-        n = sizes[i]
+        n = len(ids[i])
         d_next = mats.get(i + 1)
         p_next = pivots.get(i + 1, [])
         p_cur = pivots.get(i, []) if i >= 1 else []
@@ -107,11 +86,11 @@ def contracting_homotopy(complex_):
         inv_cols = linalg.solve_many(m, [list(col) for col in linalg.identity(n)])
         if any(c is None for c in inv_cols):
             raise ValueError(f"scalar complex is not exact at hdeg {i}; not a resolution")
-        s = linalg.zeros(sizes.get(i + 1, 0), n)
-        for t, row_idx in enumerate(p_next):
-            for j in range(n):
-                s[row_idx][j] = inv_cols[j][t]
-        sigma[i] = s
+        up = [ids[i + 1][r] for r in p_next]
+        for g, inv in zip(ids[i], inv_cols):
+            row = {h: c for h, c in zip(up, inv) if c}
+            if row:
+                sigma[g] = row
     return Homotopy(complex_, sigma)
 
 

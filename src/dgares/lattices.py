@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from .ideals import join, divides, zero_degree, total_degree
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(ValueError):
     """A structure exceeded a configured size cap."""
 
 

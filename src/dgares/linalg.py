@@ -27,25 +27,6 @@ def mat_copy(mat):
     return [row[:] for row in mat]
 
 
-def mat_mul(a, b):
-    # dims: (m x k) * (k x n)
-    m = len(a)
-    k = len(b)
-    n = len(b[0]) if k else 0
-    out = zeros(m, n)
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            c = arow[t]
-            if c:
-                brow = b[t]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return out
-
-
 def mat_vec(mat, vec):
     out = []
     for row in mat:
@@ -158,15 +139,6 @@ def solve_many(mat, rhs_list):
             vec[pc] = r[row][col]
         out.append(vec)
     return out
-
-
-def row_space_equal(rows_a, rows_b, n):
-    """Do two row sets span the same subspace of Q^n?"""
-    ra = [r for r in rref([list(v) for v in rows_a])[0]] if rows_a else []
-    rb = [r for r in rref([list(v) for v in rows_b])[0]] if rows_b else []
-    ra = [r for r in ra if any(r)]
-    rb = [r for r in rb if any(r)]
-    return ra == rb
 
 
 def in_row_space(rows, vec):

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FreeComplex, apply_rows
+from .complexes import FreeComplex, apply_rows, is_chain_map, is_homotopy
 
 ONE = Fraction(1)
 
@@ -195,33 +195,18 @@ class TransferData:
         return apply_rows(self.homotopy, f, f.hdeg + 1)
 
     def verify(self):
-        """Exact check of proj∘incl = id and incl∘proj - id = dH + Hd."""
+        """Exact check of proj∘incl = id, incl∘proj - id = dH + Hd, and
+        that incl and proj are chain maps."""
         for g in self.small.by_id:
             back = self.proj_element(self.incl_element(self.small.basis_element(g)))
             if back != self.small.basis_element(g):
                 return False
-        for g in self.big.by_id:
-            f = self.big.basis_element(g)
-            lhs = self.incl_element(self.proj_element(f)).sub(f)
-            rhs = self.big.apply_diff(self.homotopy_element(f)).add(
-                self.homotopy_element(self.big.apply_diff(f))
-            )
-            if lhs != rhs:
-                return False
-        # both transferred maps must be chain maps
-        for g in self.small.by_id:
-            f = self.small.basis_element(g)
-            if self.big.apply_diff(self.incl_element(f)) != self.incl_element(
-                self.small.apply_diff(f)
-            ):
-                return False
-        for g in self.big.by_id:
-            f = self.big.basis_element(g)
-            if self.small.apply_diff(self.proj_element(f)) != self.proj_element(
-                self.big.apply_diff(f)
-            ):
-                return False
-        return True
+        return (
+            is_homotopy(self.big, self.homotopy,
+                        lambda f: self.incl_element(self.proj_element(f)).sub(f))
+            and is_chain_map(self.small, self.big, self.incl)
+            and is_chain_map(self.big, self.small, self.proj)
+        )
 
 
 def minimize(complex_, order="forward"):

@@ -80,7 +80,7 @@ def ideal_from_cone_complex(delta):
         ideal = MonomialIdeal(len(face_vars), tuple(gens))
     iso = poset_isomorphic(expected_cone_lattice(delta), lcm_lattice(ideal).to_poset())
     if iso is None:
-        raise AssertionError("lcm lattice does not match the face poset")
+        raise ValueError("lcm lattice does not match the face poset")
     return ideal
 
 

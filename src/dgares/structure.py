@@ -30,6 +30,7 @@ from .complexes import (
     apply_rows,
     canonical_pairs,
     element_vector,
+    is_chain_map,
     scarf_complex,
     squarefree_part,
     strand_ids,
@@ -42,7 +43,6 @@ from .ideals import (
     is_squarefree,
     join,
     polarize,
-    vec_sub,
 )
 from .lattices import lcm_lattice
 from .minimize import minimal_resolution
@@ -55,7 +55,6 @@ from .multiplication import (
 from .simplicial import cone_deconvolve
 from .solve import leibniz_solution_space
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -73,25 +72,24 @@ def scarf_product_check(ideal, mult, max_witnesses=10):
         raise ValueError("Scarf products are only forced here for squarefree ideals")
     faces = {tuple(sorted(f)) for f in scarf_complex(ideal).faces}
     F = mult.complex
-    ids = F.positive_ids()
     witnesses = []
-    for pos, u in enumerate(ids):
-        for v in ids[pos:]:
-            if u not in faces or v not in faces:
-                continue
-            union = tuple(sorted(set(u) | set(v)))
-            if union not in faces:
-                continue
-            got = mult.product(u, v)
-            hdeg = F.by_id[u].hdeg + F.by_id[v].hdeg
-            mdeg = tuple(a + b for a, b in zip(F.by_id[u].mdeg, F.by_id[v].mdeg))
-            if set(u) & set(v):
-                expected = Element(hdeg, mdeg, {})
-            else:
-                s = sum(1 for a in u for b in v if b < a)
-                expected = Element(hdeg, mdeg, {union: ONE if s % 2 == 0 else -ONE})
-            if got != expected:
-                witnesses.append((u, v, got))
+    # odd squares are skipped: they vanish, so they cannot be witnesses
+    for u, v in canonical_pairs(F):
+        if u not in faces or v not in faces:
+            continue
+        union = tuple(sorted(set(u) | set(v)))
+        if union not in faces:
+            continue
+        got = mult.product(u, v)
+        hdeg = F.by_id[u].hdeg + F.by_id[v].hdeg
+        mdeg = tuple(a + b for a, b in zip(F.by_id[u].mdeg, F.by_id[v].mdeg))
+        if set(u) & set(v):
+            expected = Element(hdeg, mdeg, {})
+        else:
+            s = sum(1 for a in u for b in v if b < a)
+            expected = Element(hdeg, mdeg, {union: ONE if s % 2 == 0 else -ONE})
+        if got != expected:
+            witnesses.append((u, v, got))
     return not witnesses, witnesses[:max_witnesses]
 
 
@@ -196,15 +194,8 @@ class TaylorMap:
         return apply_rows({bid: self.images[bid].coeffs for bid in f.coeffs}, f, f.hdeg)
 
     def verify_chain_map(self):
-        T = self.taylor
-        for bid in T.by_id:
-            if T.by_id[bid].hdeg == 0:
-                continue
-            lhs = self.image_of(T.apply_diff(T.basis_element(bid)))
-            rhs = self.target.apply_diff(self.images[bid])
-            if lhs != rhs:
-                return False
-        return True
+        rows = {bid: img.coeffs for bid, img in self.images.items()}
+        return is_chain_map(self.taylor, self.target, rows)
 
     def verify_algebra_map(self):
         """phi(a *_T b) == phi(a) * phi(b) on all basis pairs; both
@@ -427,10 +418,11 @@ class HilbertConeReport:
     subalgebra C splits it as rank_i = c_i + c_{i-1}, which forces the
     rank vector to be the f-vector of a cone.  cycle_dims holds the
     c_i = dim ker(d_i over the fraction field); they are pinned by
-    exactness and certified by evaluating the differential matrices at
-    explicit rational points (evaluation never raises the rank, so
-    reaching the exactness-forced ranks certifies them).  cone_base is
-    the deconvolved base f-vector, or None when none exists.
+    exactness and certified by ranks: over the fraction field
+    d_i = diag(x^deg) C_i diag(x^-deg) with C_i the scalar matrix, so
+    rank d_i = rank C_i, and reaching the exactness-forced ranks
+    certifies them.  cone_base is the deconvolved base f-vector, or
+    None when none exists.
     """
 
     hilbert: tuple
@@ -443,36 +435,7 @@ class HilbertConeReport:
         return self.cone_base is not None and self.decomposition_ok
 
 
-def _primes(count):
-    out = []
-    cand = 2
-    while len(out) < count:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
-
-
-def _evaluated_matrix(complex_, hdeg, point):
-    """Differential matrix at hdeg with monomial coefficients evaluated
-    at the given point (rows = sources, cols = targets)."""
-    srcs = complex_.basis_at(hdeg)
-    tgts = complex_.basis_at(hdeg - 1)
-    mat = []
-    for s in srcs:
-        drow = complex_.diff_of(s.bid)
-        row = []
-        for t in tgts:
-            c = drow.get(t.bid, ZERO)
-            if c:
-                for base, e in zip(point, vec_sub(s.mdeg, t.mdeg)):
-                    c = c * base**e
-            row.append(c)
-        mat.append(row)
-    return mat
-
-
-def hilbert_cone_check(mult, attempts=8):
+def hilbert_cone_check(mult):
     """The rank vector of a minimal DGA resolution must be the f-vector
     of a cone; verify it together with the generic-rank computation
     that forces it.  Raises ValueError unless the multiplication passes
@@ -488,17 +451,8 @@ def hilbert_cone_check(mult, attempts=8):
     for i in range(1, len(hf)):
         exp_rank.append(hf[i - 1] - exp_rank[i - 1])
     closes = hf[0] == 1 and (len(hf) == 1 or hf[-1] == exp_rank[-1])
-    certified = False
-    bases = _primes(F.num_vars)
-    for shift in range(attempts):
-        point = tuple(Fraction(p + shift) for p in bases)
-        got = [
-            linalg.rank(_evaluated_matrix(F, i, point))
-            for i in range(1, len(hf))
-        ]
-        if got == exp_rank[1:]:
-            certified = True
-            break
+    mats = F.matrices()
+    certified = all(linalg.rank(mats[i]) == exp_rank[i] for i in range(1, len(hf)))
     # c_i = rank_i - exp_rank_i and exp_rank_i = c_{i-1} (with c_{-1} =
     # 0), so the splitting rank_i = c_i + c_{i-1} holds by construction
     cycles = tuple(hf[i] - exp_rank[i] for i in range(len(hf)))

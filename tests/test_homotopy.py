@@ -14,6 +14,7 @@ from dgares.corpus import (
     taylor_equals_scarf_ideal,
 )
 from dgares.homotopy import (
+    Homotopy,
     contracting_homotopy,
     laurent_dga,
     scale_complex,
@@ -42,6 +43,17 @@ def test_contraction_elementwise():
         # multidegrees of sigma images ride along, compare coefficients
         assert lhs.coeffs == f.coeffs
         assert h.apply(h.apply(f)).is_zero()
+
+
+def test_contraction_verify_rejects_a_flipped_entry():
+    res = minimal_resolution(cycle_ideal(6)).complex
+    sigma = contracting_homotopy(res).sigma
+    entries = [(g, h) for g in sorted(sigma) for h in sorted(sigma[g])]
+    assert entries
+    for g, h in entries:
+        flipped = {k: dict(v) for k, v in sigma.items()}
+        flipped[g][h] = -flipped[g][h]
+        assert not Homotopy(res, flipped).verify()
 
 
 def test_contraction_rejects_non_exact_scalar_complexes():

@@ -310,6 +310,17 @@ def test_cli_error_exit_codes(capsys, tmp_path, cycle_file):
     code, _, err = run_cli(capsys, "betti", cycle_file, "--max-gens", "2")
     assert code == 1
     assert "over the --max-gens limit" in err
+    # posets past the isomorphism search cap are refused, not a traceback
+    big = tmp_path / "big.complex"
+    big.write_text("1 2 3 4 5 6\n7\n")
+    code, _, err = run_cli(capsys, "construct", "from-complex", str(big))
+    assert code == 1
+    assert err == "error: poset size 66 exceeds cap 64\n"
+    c8 = tmp_path / "c8.ideal"
+    c8.write_text(ioformats.format_ideal(cycle_ideal(8)))
+    code, _, err = run_cli(capsys, "relabel", str(c8), "--target", str(c8))
+    assert code == 1
+    assert err == "error: poset size 90 exceeds cap 64\n"
 
 
 def test_cli_module_entry_point():

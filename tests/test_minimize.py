@@ -14,7 +14,13 @@ from dgares.corpus import (
     tagged_four_cycle_ideal,
 )
 from dgares.ideals import MonomialIdeal
-from dgares.minimize import _Reduction, cancel_pairs, minimal_resolution, minimize
+from dgares.minimize import (
+    TransferData,
+    _Reduction,
+    cancel_pairs,
+    minimal_resolution,
+    minimize,
+)
 from dgares.morse import cone_morse_matching, ideal_from_cone_complex
 from dgares.simplicial import f_vector
 
@@ -95,6 +101,28 @@ def test_transfer_identities_elementwise():
         lhs = tr.incl_element(tr.proj_element(f)).sub(f)
         rhs = t.apply_diff(tr.homotopy_element(f)).add(tr.homotopy_element(t.apply_diff(f)))
         assert lhs == rhs
+
+
+def flipped_entries(rows):
+    """Every copy of the sparse map rows with one entry negated."""
+    for g in sorted(rows):
+        for h in sorted(rows[g]):
+            new = {k: dict(v) for k, v in rows.items()}
+            new[g][h] = -new[g][h]
+            yield new
+
+
+@pytest.mark.parametrize("name", ["incl", "proj", "homotopy"])
+def test_transfer_verify_rejects_a_flipped_entry(name):
+    small, tr = minimize(taylor_complex(cycle_ideal(6)))
+    assert tr.verify()
+    maps = {"incl": tr.incl, "proj": tr.proj, "homotopy": tr.homotopy}
+    count = 0
+    for new in flipped_entries(maps[name]):
+        broken = TransferData(tr.big, tr.small, **dict(maps, **{name: new}))
+        assert not broken.verify()
+        count += 1
+    assert count > 0
 
 
 def test_cancel_pairs_runs_requested_cancellations():

@@ -14,15 +14,19 @@ from dgares.complexes import (
     taylor_complex,
 )
 from dgares.corpus import (
+    catalog_ideals,
     cycle_ideal,
     path_ideal,
+    random_cone_complex,
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
 from dgares.homotopy import scaled_dga
-from dgares.ideals import MonomialIdeal
-from dgares.minimize import minimal_resolution, minimize
+from dgares.ideals import MonomialIdeal, vec_sub
+from dgares.linalg import rank
+from dgares.minimize import cancel_pairs, minimal_resolution, minimize
+from dgares.morse import cone_morse_matching, ideal_from_cone_complex
 from dgares.multiplication import (
     associator,
     check_dga_axioms,
@@ -142,7 +146,9 @@ def test_taylor_algebra_map_full_run():
     # a flipped image of g_01 breaks phi(g_0 g_1) = phi(g_0) phi(g_1)
     flipped = dict(phi.images)
     flipped[(0, 1)] = phi.images[(0, 1)].neg()
-    assert not TaylorMap(phi.taylor, phi.taylor_mult, phi.target_mult, flipped).verify_algebra_map()
+    broken = TaylorMap(phi.taylor, phi.taylor_mult, phi.target_mult, flipped)
+    assert not broken.verify_algebra_map()
+    assert not broken.verify_chain_map()
 
 
 def test_taylor_algebra_map_rejects_bad_inputs():
@@ -197,6 +203,54 @@ def test_hilbert_cone_check_on_scaled_dgas():
     assert report51.passed
     assert report51.hilbert == (1, 5, 8, 5, 1)
     assert report51.cone_base == (1, 4, 4, 1)
+
+
+def evaluated_ranks(complex_, point):
+    """Ranks of the differential with its monomial entries evaluated
+    at a rational point; a copy of the old generic-rank route."""
+    ranks = []
+    for i in range(1, complex_.max_hdeg + 1):
+        mat = []
+        for s in complex_.basis_at(i):
+            row = []
+            for t in complex_.basis_at(i - 1):
+                c = complex_.diff_of(s.bid).get(t.bid, F(0))
+                for base, e in zip(point, vec_sub(s.mdeg, t.mdeg)):
+                    c = c * base**e
+                row.append(c)
+            mat.append(row)
+        ranks.append(rank(mat))
+    return ranks
+
+
+def old_points(num_vars, attempts=8):
+    primes = []
+    cand = 2
+    while len(primes) < num_vars:
+        if all(cand % p for p in primes):
+            primes.append(cand)
+        cand += 1
+    return [tuple(F(p + shift) for p in primes) for shift in range(attempts)]
+
+
+def test_scalar_ranks_match_the_evaluated_ranks():
+    # d_i = diag(x^deg) C_i diag(x^-deg), so every point with nonzero
+    # coordinates gives the rank of the scalar matrix C_i
+    complexes = [scaled_dga(ideal).complex for _, ideal in catalog_ideals()]
+    rng = random.Random(31)
+    for _ in range(8):
+        delta = random_cone_complex(rng)
+        ideal = ideal_from_cone_complex(delta)
+        matching = cone_morse_matching(ideal, delta, delta.num_vertices - 1)
+        small, _, leftover = cancel_pairs(taylor_complex(ideal), matching)
+        assert leftover == []
+        complexes.append(small)
+    for cx in complexes:
+        mats = cx.matrices()
+        scalar = [rank(mats[i]) for i in range(1, cx.max_hdeg + 1)]
+        assert scalar
+        for point in old_points(cx.num_vars):
+            assert evaluated_ranks(cx, point) == scalar
 
 
 def test_hilbert_cone_check_needs_a_dga():
