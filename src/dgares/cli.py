@@ -448,7 +448,8 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_dga)
 
-    p = add_parser("relabel", help="transport a product along an lcm lattice isomorphism")
+    text = "transport a product along an lcm lattice isomorphism (lcm lattices of at most 64 elements)"
+    p = add_parser("relabel", help=text, description=text)
     p.add_argument("file")
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_relabel)

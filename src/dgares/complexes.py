@@ -388,16 +388,6 @@ def squarefree_part(complex_, f):
     return m, Element(f.hdeg, cap, f.coeffs)
 
 
-def try_squarefree_part(complex_, f):
-    """squarefree_part with the guard disabled: returns None when some
-    support term does not fit under the capped degree."""
-    cap = squarefree_cap(f.mdeg)
-    for g in f.coeffs:
-        if not divides(complex_.by_id[g].mdeg, cap):
-            return None
-    return vec_sub(f.mdeg, cap), Element(f.hdeg, cap, f.coeffs)
-
-
 # -- misc helpers ----------------------------------------------------------
 
 

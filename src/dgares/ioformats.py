@@ -282,16 +282,18 @@ def mult_to_json(mult):
 
 
 def mult_from_json(complex_, doc):
+    by_id = complex_.by_id
     table = {}
     for g, h, e, scalar, exp in doc["entries"]:
         u, v, w = tuple(g), tuple(h), tuple(e)
+        for bid in (u, v, w):
+            if bid not in by_id:
+                raise ParseError(f"unknown basis id {list(bid)}")
         table.setdefault((u, v), {})[w] = Fraction(scalar)
-        by_id = complex_.by_id
         implied = vec_sub(vec_add(by_id[u].mdeg, by_id[v].mdeg), by_id[w].mdeg)
         if implied != tuple(exp):
             raise ParseError("exponent vector disagrees with the degrees")
-    return Multiplication(
-        complex_, table, laurent=doc.get("laurent", False), check=False)
+    return Multiplication(complex_, table, laurent=doc.get("laurent", False))
 
 
 def transfer_to_json(transfer):

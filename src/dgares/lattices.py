@@ -143,10 +143,6 @@ class LcmLattice:
     def to_poset(self):
         return Poset.from_leq(self.elements, divides)
 
-    def join_closed(self):
-        elems = set(self.elements)
-        return all(join(a, b) in elems for a in self.elements for b in self.elements)
-
 
 def lcm_lattice(ideal):
     seen = {zero_degree(ideal.num_vars)}

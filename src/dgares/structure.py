@@ -41,7 +41,6 @@ from .ideals import (
     MonomialIdeal,
     divides,
     is_squarefree,
-    join,
     polarize,
 )
 from .lattices import lcm_lattice
@@ -526,20 +525,3 @@ def supportive_multiplication(ideal, cap=16):
     iso = pol.lattice_iso(lcm_lattice(pol.ideal))
     relabeled, m2 = relabel(res.complex, m, iso, ideal)
     return SupportiveMultiplication(ideal, pol, relabeled, m2)
-
-
-def lcm_normalized_product(mult, u, v):
-    """Renormalize the product g_u * g_v to the join of the factor
-    degrees (dividing out the gcd that the degree sum overshoots by).
-
-    Returns (in_complex, element): in_complex is True exactly when
-    every support degree divides the join, i.e. when the pair is
-    supportive; element is the renormalized product, or None when the
-    renormalization would need negative exponents.
-    """
-    F = mult.complex
-    p = mult.product(u, v)
-    target = join(F.by_id[u].mdeg, F.by_id[v].mdeg)
-    if all(divides(F.by_id[w].mdeg, target) for w in p.coeffs):
-        return True, Element(p.hdeg, target, p.coeffs)
-    return False, None

@@ -23,7 +23,6 @@ from dgares.complexes import (
     scarf_complex,
     squarefree_part,
     taylor_complex,
-    try_squarefree_part,
     vector_element,
 )
 from dgares.corpus import (
@@ -258,9 +257,6 @@ def test_squarefree_part():
     mixed = taylor_complex(MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1))))
     with pytest.raises(ValueError):
         squarefree_part(mixed, Element(1, (2, 0, 0), {(0,): F(1)}))
-    assert try_squarefree_part(mixed, Element(1, (2, 1, 1), {(0,): F(1)})) is None
-    m2, part2 = try_squarefree_part(t, Element(1, (2, 2, 1), {(0, 1): F(1)}))
-    assert m2 == (1, 1, 0) and part2.mdeg == (1, 1, 1)
 
 
 def test_restricted_to_guards_leaks():

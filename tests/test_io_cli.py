@@ -16,7 +16,7 @@ from dgares.corpus import (
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
-from dgares.ideals import MonomialIdeal
+from dgares.ideals import MonomialIdeal, vec_add, vec_sub
 from dgares.minimize import minimize
 from dgares.multiplication import taylor_multiplication
 from dgares.simplicial import SimplicialComplex, f_vector
@@ -141,6 +141,27 @@ def test_multiplication_json_round_trip():
         ioformats.mult_from_json(T, doc)
 
 
+def test_multiplication_json_is_validated():
+    T = taylor_complex(taylor_equals_scarf_ideal())
+
+    def entry(u, v, w):
+        d = T.by_id
+        exp = vec_sub(vec_add(d[u].mdeg, d[v].mdeg), d[w].mdeg)
+        return [list(u), list(v), list(w), "1", list(exp)]
+
+    bad = [
+        (entry((0,), (0,), (0, 1)), "odd-degree"),
+        (entry((0,), (1,), (0, 1, 2)), "wrong hdeg"),
+        (entry((0,), (1,), (0, 2)), "negative exponent"),
+    ]
+    for row, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ioformats.mult_from_json(T, {"entries": [row]})
+    unknown = [[0], [7], [0, 1], "1", [0, 0, 0]]
+    with pytest.raises(ioformats.ParseError, match="unknown basis id"):
+        ioformats.mult_from_json(T, {"entries": [unknown]})
+
+
 def test_transfer_json_shape():
     small, transfer = minimize(taylor_complex(cycle_ideal(4)))
     doc = ioformats.transfer_to_json(transfer)
@@ -250,6 +271,11 @@ def test_cli_dga_transfer_flags_nonassociative(capsys, tmp_path):
     assert "associative=FAIL" in out
     code, out, _ = run_cli(capsys, "dga", "laurent", str(path))
     assert code == 0
+    # supportive skips associativity, which fails on this ideal
+    code, out, _ = run_cli(capsys, "dga", "supportive", str(path))
+    assert code == 0 and "associative=skipped" in out
+    code, out, _ = run_cli(capsys, "--json", "dga", "supportive", str(path))
+    assert code == 0 and json.loads(out)["axioms"]["associative"] is None
 
 
 def test_cli_relabel(capsys, tmp_path):

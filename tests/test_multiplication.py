@@ -9,26 +9,31 @@ from fractions import Fraction
 import pytest
 
 import dgares
-from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
+from dgares.complexes import BasisElement, Element, FreeComplex, strand_ids, taylor_complex
 from dgares.corpus import (
     catalog_ideals,
     cycle_ideal,
+    path_ideal,
     random_monomial_ideal,
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
 from dgares.homotopy import laurent_dga
+from dgares.ideals import vec_add
 from dgares.minimize import minimize
 from dgares.multiplication import (
     Multiplication,
     associator,
+    associators,
     check_dga_axioms,
     gauge_equivalent,
     is_supportive,
+    lookup,
     taylor_multiplication,
     transfer_multiplication,
 )
 from dgares.solve import leibniz_solution_space
+from dgares.structure import supportive_multiplication
 
 F = Fraction
 
@@ -119,10 +124,17 @@ def test_axiom_report_catches_broken_tables():
 
 
 def test_axiom_check_without_associativity():
-    t = taylor_complex(taylor_equals_scarf_ideal())
-    report = check_dga_axioms(taylor_multiplication(t), associativity=False)
+    # the supportive product on P6 is not associative, so a skipped
+    # check must not read as a pass
+    mult = supportive_multiplication(path_ideal(6)).multiplication
+    report = check_dga_axioms(mult, associativity=False)
     assert report.is_multiplication
-    assert report.associative_failures == []
+    assert report.associative is None and report.associative_failures == []
+    assert not report.is_dga
+    assert report.summary().endswith("associative=skipped")
+    full = check_dga_axioms(mult)
+    assert full.associative is False and full.associative_failures
+    assert full.summary().endswith("associative=FAIL")
 
 
 def _two_generator_complex():
@@ -170,7 +182,7 @@ def test_is_supportive_rejects_overflowing_products():
     # send g_a * g_b to the triple: legal degreewise, but the target
     # does not divide the join of the factors
     table = {((0,), (1,)): {(0, 1): F(1)}}
-    m = Multiplication(t, table, check=False)
+    m = Multiplication(t, table)
     m.table[((0,), (1,))] = {(0, 1, 2): F(1)}
     flag, witnesses = is_supportive(m)
     assert not flag
@@ -296,20 +308,23 @@ def _elementwise_leibniz(mult, max_witnesses):
     return not failures, failures[:max_witnesses]
 
 
+def _strand(complex_, u, v):
+    """The basis ids a valid table entry on (u, v) may land on."""
+    bu, bv = complex_.by_id[u], complex_.by_id[v]
+    return strand_ids(complex_, bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg))
+
+
 def _perturbed(mult, rng):
-    """The same table with one entry moved by a nonzero scalar."""
+    """The same table with one entry moved by a nonzero scalar, inside
+    the pair's strand so that the table stays valid."""
     complex_ = mult.complex
-    pairs = [
-        (u, v) for u, v in mult.pairs()
-        if complex_.basis_at(complex_.by_id[u].hdeg + complex_.by_id[v].hdeg)
-    ]
+    pairs = [(u, v) for u, v in mult.pairs() if _strand(complex_, u, v)]
     u, v = rng.choice(pairs)
-    targets = complex_.basis_at(complex_.by_id[u].hdeg + complex_.by_id[v].hdeg)
-    w = rng.choice(targets).bid
+    w = rng.choice(_strand(complex_, u, v))
     table = {p: dict(r) for p, r in mult.table.items()}
     row = table.setdefault((u, v), {})
     row[w] = row.get(w, 0) + F(rng.choice([-2, -1, 1, 3]))
-    return Multiplication(complex_, table, laurent=mult.laurent, check=False)
+    return Multiplication(complex_, table, laurent=mult.laurent)
 
 
 def test_swept_leibniz_matches_the_elementwise_check():
@@ -339,3 +354,75 @@ def test_swept_leibniz_matches_the_elementwise_check():
     # every unperturbed product is Leibniz, so the witnesses come from
     # the perturbed tables, and some of those fail on several pairs
     assert compared >= 100 and failing >= compared // 3
+
+
+def _element_associators(mult):
+    """The associator scan as it ran before the row kernel: every basis
+    triple, with Element products and multiply's basis loop inlined."""
+    complex_ = mult.complex
+    by_id = complex_.by_id
+
+    def product(u, v):
+        row, sign = lookup(by_id, mult.table, u, v, F(1))
+        bu, bv = by_id[u], by_id[v]
+        return Element(bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg),
+                       {w: sign * c for w, c in row.items()})
+
+    def multiply(f, g):
+        acc = {}
+        for u, cu in f.coeffs.items():
+            for v, cv in g.coeffs.items():
+                for w, c in product(u, v).coeffs.items():
+                    acc[w] = acc.get(w, 0) + cu * cv * c
+        return Element(f.hdeg + g.hdeg, vec_add(f.mdeg, g.mdeg), acc)
+
+    ids = complex_.positive_ids()
+    basis = [complex_.basis_element(w) for w in ids]
+    products = [[product(v, w) for w in ids] for v in ids]
+    witnesses = []
+    for i, u in enumerate(ids):
+        for j, v in enumerate(ids):
+            p_uv = products[i][j]
+            for w, fw, p_vw in zip(ids, basis, products[j]):
+                if not p_uv.coeffs and not p_vw.coeffs:
+                    continue
+                left = multiply(p_uv, fw)
+                right = multiply(basis[i], p_vw)
+                if left != right:
+                    witnesses.append((u, v, w, left.sub(right)))
+    return witnesses
+
+
+def test_row_scan_matches_the_element_scan():
+    rng = random.Random(23)
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    ideals += [random_monomial_ideal(rng, max_gens=5, squarefree=s % 2 == 0) for s in range(8)]
+    compared = failing = at_top = 0
+    for ideal in ideals:
+        t = taylor_complex(ideal)
+        shuffle = taylor_multiplication(t)
+        small, transfer = minimize(t)
+        products = (
+            shuffle,
+            transfer_multiplication(shuffle, transfer),
+            leibniz_solution_space(small).particular(),
+            laurent_dga(small),
+        )
+        for mult in products:
+            if not mult.pairs():
+                continue
+            for candidate in (mult, _perturbed(mult, rng)):
+                want = _element_associators(candidate)
+                assert list(associators(candidate)) == want
+                for max_witnesses in (1, 10):
+                    report = check_dga_axioms(candidate, max_witnesses=max_witnesses)
+                    assert report.associative == (not want)
+                    assert report.associative_failures == want[:max_witnesses]
+                by_id = candidate.complex.by_id
+                top = candidate.complex.max_hdeg
+                at_top += sum(1 for w in want if sum(by_id[x].hdeg for x in w[:3]) == top)
+                compared += 1
+                failing += bool(want)
+    # the scan stops at the top hdeg, so witnesses sitting on it test
+    # that the bound is not cut one degree short
+    assert compared >= 80 and failing >= 10 and at_top > 0

@@ -41,7 +41,6 @@ from dgares.structure import (
     degree_one_generation,
     hilbert_cone_check,
     in_degree_one_span,
-    lcm_normalized_product,
     nested_product,
     relabel,
     scarf_product_check,
@@ -314,16 +313,6 @@ def test_supportive_multiplication_polarization_route():
     assert check_dga_axioms(sm.multiplication, associativity=False).is_multiplication
     flag, _ = is_supportive(sm.multiplication)
     assert flag
-
-
-def test_lcm_normalized_product():
-    c6 = taylor_multiplication(taylor_complex(cycle_ideal(6)))
-    inside, elem = lcm_normalized_product(c6, (0,), (1,))
-    assert inside
-    assert elem == Element(2, (1, 1, 1, 0, 0, 0), {(0, 1): F(1)})
-    m33 = modified_length_three_multiplication()
-    inside, elem = lcm_normalized_product(m33, (1,), (2,))
-    assert not inside and elem is None
 
 
 def test_strongly_generic_associator_identity():
