@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from . import linalg
 from .betti import betti_poset, betti_table, betti_table_direct
 from .complexes import (
     algebraic_scarf,
@@ -43,7 +42,7 @@ from .multiplication import (
     transfer_multiplication,
 )
 from .simplicial import f_vector, is_cone, is_cone_fvector, kruskal_katona_check
-from .solve import CONST, associativity_scan, canonical_pairs, forced_products, leibniz_solution_space
+from .solve import associativity_scan, canonical_pairs, forced_products, leibniz_solution_space
 from .structure import (
     avramov_obstruction,
     degree_one_generation,
@@ -53,7 +52,6 @@ from .structure import (
     supportive_multiplication,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CASES = ("3.2", "3.3", "3.8", "4.3", "5.1", "6.8", "thm2.1")
@@ -86,37 +84,20 @@ class CaseResult:
         }
 
 
-def _match_point(space, pair, want):
-    """Parameters sending one pair's row to the wanted scalars, or None."""
-    row = space.entries.get(pair, {})
-    rows, rhs = [], []
-    for w in sorted(set(row) | set(want)):
-        aff = row.get(w, {})
-        rows.append([aff.get(p, ZERO) for p in range(space.dim)])
-        rhs.append(want.get(w, ZERO) - aff.get(CONST, ZERO))
-    sol = linalg.solve(rows, rhs)
-    return None if sol is None else tuple(sol)
-
-
 def _table_realizable(space, ref):
     """Does any sign pattern carry some member of the space onto the
     reference table?  Exhaustive over per-basis signs; each pattern
     leaves a linear system for the parameters."""
     F = space.complex
     ids = F.positive_ids()
+    pairs = canonical_pairs(F)
     for signs in iproduct((ONE, -ONE), repeat=len(ids)):
         eps = dict(zip(ids, signs))
-        rows, rhs = [], []
-        for pair in canonical_pairs(F):
-            u, v = pair
-            aff_row = space.entries.get(pair, {})
-            ref_row = ref.get(pair, {})
-            for w in sorted(set(aff_row) | set(ref_row)):
-                aff = aff_row.get(w, {})
-                rows.append([aff.get(p, ZERO) for p in range(space.dim)])
-                target = eps[u] * eps[v] * eps[w] * ref_row.get(w, ZERO)
-                rhs.append(target - aff.get(CONST, ZERO))
-        if linalg.solve(rows, rhs) is not None:
+        twisted = {
+            (u, v): {w: eps[u] * eps[v] * eps[w] * c for w, c in row.items()}
+            for (u, v), row in ref.items()
+        }
+        if space.solve_for(twisted, pairs) is not None:
             return True
     return False
 
@@ -157,8 +138,9 @@ def _case_32():
                    space.dim == 2, "dim %d" % space.dim))
 
     points = {}
+    pair = ((0,), (2,))
     for lam in (0, 1):
-        point = _match_point(space, ((0,), (2,)), _four_cycle_entry(lam))
+        point = space.solve_for({pair: _four_cycle_entry(lam)}, [pair])
         label = "catalogued product at lambda=%d lies in the space" % lam
         if point is None:
             checks.append((label, False, "no parameters match"))
@@ -468,8 +450,9 @@ def run_case(name):
 
 
 def run_all(jobs=None):
-    """Run every case, optionally across worker processes."""
+    """Run every case, optionally across worker processes; never more
+    workers than cases."""
     if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(CASES))) as pool:
             return list(pool.map(run_case, CASES))
     return [run_case(name) for name in CASES]

@@ -381,11 +381,10 @@ def cmd_construct(args):
 
 
 def cmd_examples(args):
-    names = casebook.CASES if args.case == "all" else (args.case,)
-    if args.case == "all" and args.jobs and args.jobs > 1:
+    if args.case == "all":
         results = casebook.run_all(jobs=args.jobs)
     else:
-        results = [casebook.run_case(name) for name in names]
+        results = [casebook.run_case(args.case)]
     doc = {"cases": [r.to_json() for r in results],
            "passed": all(r.passed for r in results)}
     lines = []

@@ -8,11 +8,11 @@ under composition, dated identities like d∘d = 0 reduce to exact scalar
 identities, and homology in a fixed multidegree becomes plain linear
 algebra over Q.
 
-Scalar coordinates are decided here once: `diff_matrix` is the matrix
-of d between two lists of basis ids, `apply_rows` applies a sparse map
-{id: {id: scalar}} (the differential, a transfer map, a homotopy) to an
-element, and `element_vector`/`vector_element` convert between an
-element and its coordinates on a list of ids.  Identities of such maps
+An element's `coeffs` is already a sparse vector {id: scalar}, and
+`diff_matrix` hands d between two lists of basis ids to `linalg` as
+stored, column by column: g maps to d(g) restricted to the target ids.
+`apply_rows` applies a sparse map {id: {id: scalar}} (the differential,
+a transfer map, a homotopy) to an element.  Identities of such maps
 are checked here once, on every basis element: `is_chain_map` (dm = md) and
 `is_homotopy` (lhs = dh + hd).  The contraction of the scalar
 complex (`homotopy.Homotopy`) is a sparse row map too.  The Leibniz
@@ -143,15 +143,15 @@ class FreeComplex:
         return [b.bid for i, blist in sorted(self.bases.items()) if i >= 1 for b in blist]
 
     def unit(self):
-        zeros = self.basis_at(0)
-        if not self.augmented or len(zeros) != 1:
+        bottom = self.basis_at(0)
+        if not self.augmented or len(bottom) != 1:
             raise ValueError("only an augmented complex with one hdeg-0 generator has a unit")
-        return Element(0, zeros[0].mdeg, {zeros[0].bid: ONE})
+        return Element(0, bottom[0].mdeg, {bottom[0].bid: ONE})
 
     def validate(self):
         if self.augmented:
-            zeros = self.basis_at(0)
-            if len(zeros) != 1 or any(zeros[0].mdeg):
+            bottom = self.basis_at(0)
+            if len(bottom) != 1 or any(bottom[0].mdeg):
                 raise ValueError("augmented complex needs exactly one hdeg-0 generator in degree 0")
         for g, row in self.diff.items():
             src = self.by_id[g]
@@ -197,8 +197,8 @@ class FreeComplex:
         return FreeComplex(n, bases, self.diff, augmented=self.augmented)
 
     def matrices(self):
-        """{i: scalar matrix of d_i : F_i -> F_{i-1}} over the full bases,
-        rows indexed by the hdeg i-1 basis order, columns by hdeg i."""
+        """{i: columns of d_i : F_i -> F_{i-1}} over the full bases, in
+        hdeg-i basis order."""
         ids = {i: [b.bid for b in blist] for i, blist in self.bases.items()}
         return {
             i: diff_matrix(self, ids.get(i - 1, []), ids.get(i, []))
@@ -297,7 +297,7 @@ def lyubeznik(ideal, order):
 @dataclass
 class GradedComponent:
     """The degree-a strand: per hdeg the surviving basis ids (mdeg <= a)
-    and the scalar matrices between consecutive strands."""
+    and the columns of d between consecutive strands."""
 
     degree: tuple
     ids: dict
@@ -315,7 +315,7 @@ def graded_component(complex_, a):
 
 def component_on(complex_, a, ids):
     """The component on the given {hdeg: basis ids} in degree a, with
-    the scalar matrices of d between consecutive hdegs."""
+    the columns of d between consecutive hdegs."""
     top = max(ids) if ids else 0
     matrices = {
         i: diff_matrix(complex_, ids.get(i - 1, []), ids.get(i, []))
@@ -330,8 +330,7 @@ def homology_dims(gc):
     dims = {}
     ranks = {}
     for i in range(1, top + 2):
-        mat = gc.matrices.get(i)
-        ranks[i] = linalg.rank(mat) if mat else 0
+        ranks[i] = linalg.rank(gc.matrices.get(i, {}))
     for i in range(0, top + 1):
         n_i = len(gc.ids.get(i, []))
         kernel = n_i - ranks.get(i, 0) if i >= 1 else n_i
@@ -410,20 +409,14 @@ def canonical_pairs(complex_):
     return sorted(pairs, key=lambda p: (level(p), p))
 
 
-# -- scalar coordinates ----------------------------------------------------
+# -- sparse maps -----------------------------------------------------------
 
 
 def diff_matrix(complex_, rows, cols):
-    """Scalar matrix of d from the ids `cols` to the ids `rows`; entries
-    landing outside `rows` are left out."""
-    idx = {h: r for r, h in enumerate(rows)}
-    mat = linalg.zeros(len(rows), len(cols))
-    for c, g in enumerate(cols):
-        for h, coeff in complex_.diff_of(g).items():
-            r = idx.get(h)
-            if r is not None:
-                mat[r][c] = coeff
-    return mat
+    """Columns of d from the ids `cols` to the ids `rows`: g maps to
+    d(g) with the entries landing outside `rows` left out."""
+    rows = set(rows)
+    return {g: {h: c for h, c in complex_.diff_of(g).items() if h in rows} for g in cols}
 
 
 def apply_rows(rows, f, hdeg):
@@ -457,13 +450,3 @@ def is_homotopy(complex_, rows, lhs):
         if lhs(f) != dh.add(hd):
             return False
     return True
-
-
-def element_vector(f, ids):
-    """Coordinates of f on the given basis ids."""
-    return [f.coeffs.get(g, Fraction(0)) for g in ids]
-
-
-def vector_element(hdeg, a, ids, vec):
-    """The element of degree (hdeg, a) with coordinates vec on ids."""
-    return Element(hdeg, a, {g: c for g, c in zip(ids, vec) if c})

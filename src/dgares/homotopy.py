@@ -53,44 +53,31 @@ class Homotopy:
         return True
 
 
-def _pivot_columns(mat):
-    if not mat or not mat[0]:
-        return []
-    return linalg.rref(mat)[1]
-
-
 def contracting_homotopy(complex_):
     """Build a contraction of the scalar complex.
 
-    At each hdeg i the pivot columns of d_{i+1} span a complement V of
-    ker d_{i+1}, and exactness forces Q^{n_i} = d(V) + V_i with V_i the
-    pivot coordinates of d_i; sigma inverts d on the first summand and
-    kills the second.  Raises when the scalar complex is not exact,
-    which means the input was not a resolution."""
+    At each hdeg i the pivot columns g of d_{i+1} span a complement V of
+    ker d_{i+1}, and exactness forces Q^{n_i} = d(V) + V_i with V_i
+    spanned by the pivot ids of d_i; sigma inverts d on the first
+    summand and kills the second.  Raises when the scalar complex is
+    not exact, which means the input was not a resolution."""
     mats = complex_.matrices()
-    top = complex_.max_hdeg
-    ids = {i: [b.bid for b in complex_.basis_at(i)] for i in range(top + 2)}
-    pivots = {i: _pivot_columns(mats.get(i)) for i in range(1, top + 2)}
+    pivots = {i: linalg.pivots(cols) for i, cols in mats.items()}
     sigma = {}
-    for i in range(top + 1):
-        n = len(ids[i])
-        d_next = mats.get(i + 1)
-        p_next = pivots.get(i + 1, [])
-        p_cur = pivots.get(i, []) if i >= 1 else []
-        cols = [[d_next[r][j] for r in range(n)] for j in p_next]
-        for j in p_cur:
-            cols.append([ONE if r == j else Fraction(0) for r in range(n)])
-        if len(cols) != n:
+    for i in range(complex_.max_hdeg + 1):
+        up = pivots.get(i + 1, [])
+        cols = {g: mats[i + 1][g] for g in up}
+        cols.update((h, {h: ONE}) for h in pivots.get(i, []))
+        ids = [b.bid for b in complex_.basis_at(i)]
+        if len(cols) != len(ids):
             raise ValueError(f"scalar complex is not exact at hdeg {i}; not a resolution")
-        m = [[cols[c][r] for c in range(n)] for r in range(n)]
-        inv_cols = linalg.solve_many(m, [list(col) for col in linalg.identity(n)])
-        if any(c is None for c in inv_cols):
+        sols = linalg.solve_many(cols, [{h: ONE} for h in ids])
+        if any(sol is None for sol in sols):
             raise ValueError(f"scalar complex is not exact at hdeg {i}; not a resolution")
-        up = [ids[i + 1][r] for r in p_next]
-        for g, inv in zip(ids[i], inv_cols):
-            row = {h: c for h, c in zip(up, inv) if c}
+        for h, sol in zip(ids, sols):
+            row = {g: sol[g] for g in up if g in sol}
             if row:
-                sigma[g] = row
+                sigma[h] = row
     return Homotopy(complex_, sigma)
 
 

@@ -1,152 +1,114 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse columns.
 
-Matrices are lists of row lists of Fractions, stored dense.  The systems
-that show up here (graded strands of resolutions, Leibniz systems for a
-single basis pair) are mostly zeros, so the elimination in `rref` works
-only on the nonzero entries of each pivot row.
+A matrix is an ordered mapping {column key: {row key: scalar}}, the
+shape in which `FreeComplex.diff` stores the differential, so a strand
+of d is handed over as stored and never copied into a dense array.
+Columns are reduced in order, and a column is a pivot exactly when it
+is independent of the columns before it: these are the leftmost pivots
+of the reduced row echelon form.  Vectors are sparse {key: scalar}
+dicts.  A kernel basis has one vector per dependent column, with that
+column's coefficient 1; a particular solution is 0 on every dependent
+column.  Both are keyed by column key and are unique given the pivots.
 """
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(m, n):
-    return [[ZERO] * n for _ in range(m)]
+class _Echelon:
+    """The columns, each reduced against the pivots before it.
+
+    Pivot k keeps its column key, a pivot row, the reduced column b_k
+    scaled to 1 at that row (it is 0 at every earlier pivot row), and
+    the recipe b_k = scale_k * column_k + sum_m steps_k[m] * b_m that
+    `express` unwinds.  A dependent column keeps its coordinates on the
+    b_k."""
+
+    def __init__(self, columns):
+        self.keys, self.rows, self.reduced, self.recipes = [], [], [], []
+        self.dependent = []
+        for key, col in columns.items():
+            residual, coords = self.reduce(col)
+            if not residual:
+                self.dependent.append((key, coords))
+                continue
+            row = next(iter(residual))
+            scale = ONE / residual[row]
+            self.keys.append(key)
+            self.rows.append(row)
+            self.reduced.append({h: c * scale for h, c in residual.items()})
+            self.recipes.append((scale, {m: -a * scale for m, a in coords.items()}))
+
+    def reduce(self, vec):
+        """(residual, coords) with vec = residual + sum_k coords[k] b_k
+        and the residual 0 at every pivot row."""
+        residual = {h: c for h, c in vec.items() if c}
+        coords = {}
+        for k, row in enumerate(self.rows):
+            a = residual.get(row)
+            if not a:
+                continue
+            coords[k] = a
+            for h, c in self.reduced[k].items():
+                v = residual.get(h, 0) - a * c
+                if v:
+                    residual[h] = v
+                else:
+                    del residual[h]
+        return residual, coords
+
+    def express(self, coords):
+        """sum_k coords[k] b_k on the pivot columns, as {key: scalar}."""
+        coords = dict(coords)
+        out = {}
+        for k in range(len(self.keys) - 1, -1, -1):
+            a = coords.pop(k, None)
+            if not a:
+                continue
+            scale, steps = self.recipes[k]
+            out[self.keys[k]] = a * scale
+            for m, s in steps.items():
+                coords[m] = coords.get(m, 0) + a * s
+        return out
 
 
-def identity(n):
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = ONE
-    return mat
+def pivots(columns):
+    """Keys of the columns independent of the columns before them."""
+    return _Echelon(columns).keys
 
 
-def mat_copy(mat):
-    return [row[:] for row in mat]
+def rank(columns):
+    return len(_Echelon(columns).keys)
 
 
-def mat_vec(mat, vec):
-    out = []
-    for row in mat:
-        s = ZERO
-        for c, v in zip(row, vec):
-            if c and v:
-                s += c * v
-        out.append(s)
-    return out
-
-
-def rref(mat, ncols=None):
-    """Reduced row echelon form, leftmost-pivot scanning.
-
-    Only the first `ncols` columns are eligible as pivots (the rest ride
-    along as augmented right-hand sides).  Returns (R, pivots) where
-    pivots[j] is the pivot column of row j.
-    """
-    r = mat_copy(mat)
-    m = len(r)
-    n = len(r[0]) if m else 0
-    if ncols is None:
-        ncols = n
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, m):
-            if r[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        r[row], r[piv] = r[piv], r[row]
-        prow = r[row]
-        # rows from `row` down are zero left of col, so the pivot row is too
-        support = [j for j in range(col, n) if prow[j]]
-        inv = ONE / prow[col]
-        for j in support:
-            prow[j] *= inv
-        for i in range(m):
-            c = r[i][col]
-            if c and i != row:
-                ri = r[i]
-                for j in support:
-                    ri[j] -= c * prow[j]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return r, pivots
-
-
-def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
-
-
-def nullspace(mat, n=None):
-    """Basis of the right kernel, free variables set to 1 one at a time."""
-    if n is None:
-        n = len(mat[0]) if mat else 0
-    if not mat:
-        return [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    r, pivots = rref(mat)
-    pivset = set(pivots)
+def nullspace(columns):
+    """Kernel basis: per dependent column, that column with coefficient
+    1 minus its combination of the pivot columns before it."""
+    ech = _Echelon(columns)
     basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        vec = [ZERO] * n
-        vec[free] = ONE
-        for row, pc in enumerate(pivots):
-            vec[pc] = -r[row][free]
+    for key, coords in ech.dependent:
+        vec = {k: -c for k, c in ech.express(coords).items()}
+        vec[key] = ONE
         basis.append(vec)
     return basis
 
 
-def solve(mat, rhs):
-    """One particular solution of mat*x = rhs (free variables 0), or None."""
-    sols = solve_many(mat, [rhs])
-    return sols[0]
-
-
-def solve_many(mat, rhs_list):
-    """Particular solutions for several right-hand sides at once.
-
-    Returns a list parallel to rhs_list with either a solution vector
-    (free variables set to 0) or None when inconsistent.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    k = len(rhs_list)
-    aug = [mat[i][:] + [rhs[i] for rhs in rhs_list] for i in range(m)]
-    if not aug:
-        # 0 = rhs: solvable iff every rhs is the empty vector
-        return [[ZERO] * n for _ in rhs_list]
-    r, pivots = rref(aug, ncols=n)
-    nrows = len(pivots)
+def solve_many(columns, rhs_list):
+    """Per right-hand side, the solution that is 0 on every dependent
+    column, or None when the rhs is not in the column span."""
+    ech = _Echelon(columns)
     out = []
-    for j in range(k):
-        col = n + j
-        ok = all(not r[i][col] for i in range(nrows, m))
-        if not ok:
-            out.append(None)
-            continue
-        vec = [ZERO] * n
-        for row, pc in enumerate(pivots):
-            vec[pc] = r[row][col]
-        out.append(vec)
+    for rhs in rhs_list:
+        residual, coords = ech.reduce(rhs)
+        out.append(None if residual else ech.express(coords))
     return out
 
 
-def in_row_space(rows, vec):
-    """Is vec in the span of rows?"""
-    if not any(vec):
-        return True
-    if not rows:
-        return False
-    cols = len(vec)
-    mat = [[row[i] for row in rows] for i in range(cols)]
-    return solve(mat, list(vec)) is not None
+def solve(columns, rhs):
+    return solve_many(columns, [rhs])[0]
+
+
+def in_span(vectors, vec):
+    """Is vec a combination of the given sparse vectors?"""
+    return not _Echelon(dict(enumerate(vectors))).reduce(vec)[0]

@@ -16,13 +16,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .complexes import element_vector, strand_ids
+from .complexes import strand_ids
 from .ideals import MonomialIdeal, divides
 from .lattices import Poset, lcm_lattice, poset_isomorphic
 from .minimize import cancel_pairs
 from .multiplication import transfer_multiplication
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # sentinel for the adjoined maximum of the expected lattice
@@ -194,19 +193,15 @@ def in_matched_span(complex_, uppers, f):
     in the strand of f's multidegree."""
     if not f.coeffs:
         return True
-    cols = strand_ids(complex_, f.hdeg, f.mdeg)
-    index = {c: j for j, c in enumerate(cols)}
-    rows = []
+    window = set(strand_ids(complex_, f.hdeg, f.mdeg))
+    vectors = []
     for w in uppers:
         bw = complex_.by_id[w]
         if bw.hdeg == f.hdeg and divides(bw.mdeg, f.mdeg):
-            row = [ZERO] * len(cols)
-            row[index[w]] = ONE
-            rows.append(row)
+            vectors.append({w: ONE})
         elif bw.hdeg == f.hdeg + 1 and divides(bw.mdeg, f.mdeg):
-            d = complex_.diff_of(w)
-            rows.append([d.get(c, ZERO) for c in cols])
-    return linalg.in_row_space(rows, element_vector(f, cols))
+            vectors.append({h: c for h, c in complex_.diff_of(w).items() if h in window})
+    return linalg.in_span(vectors, {g: c for g, c in f.coeffs.items() if g in window})
 
 
 def dga_ideal_check(mult, matching, max_witnesses=10):

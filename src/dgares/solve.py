@@ -20,6 +20,7 @@ from .ideals import vec_add
 # add_scaled and leibniz_sweep are re-exported from here
 from .multiplication import Multiplication, add_scaled, associators, leibniz_sweep, lookup
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 CONST = -1
 
@@ -42,7 +43,7 @@ def aff_scale(a, c):
 
 
 def aff_eval(a, values):
-    out = a.get(CONST, Fraction(0))
+    out = a.get(CONST, ZERO)
     for k, v in a.items():
         if k != CONST:
             out += v * values[k]
@@ -57,7 +58,7 @@ def aff_add_scaled(acc, c, row):
 
 def _strand_data(complex_, u, v):
     """Candidate product targets W, differential targets T, and the
-    scalar matrix of d restricted to the strand below mdeg u + mdeg v."""
+    columns of d on W restricted to the strand below mdeg u + mdeg v."""
     bu, bv = complex_.by_id[u], complex_.by_id[v]
     level = bu.hdeg + bv.hdeg
     degree = vec_add(bu.mdeg, bv.mdeg)
@@ -95,7 +96,7 @@ class MultiplicationSpace:
         return Multiplication(self.complex, self.table_at(values))
 
     def particular(self):
-        return self.at((Fraction(0),) * self.dim)
+        return self.at((ZERO,) * self.dim)
 
     def locate(self, mult):
         """Parameter values realizing a given multiplication, or None
@@ -103,17 +104,27 @@ class MultiplicationSpace:
         each parameter is visible in the pair that introduced it."""
         if set(mult.complex.by_id) != set(self.complex.by_id):
             raise ValueError("the multiplication lives on a complex with another basis")
-        rows = []
-        rhs = []
-        for pair in canonical_pairs(self.complex):
+        return self.solve_for(mult.table, canonical_pairs(self.complex))
+
+    def solve_for(self, table, pairs):
+        """Parameter values sending every pair in `pairs` to its row
+        {target id: scalar} of `table` (a missing row is zero), or None
+        when no member of the space does.  Parameters the rows leave
+        free come back as 0.  Each (pair, target) is one equation: the
+        parameter coefficients of the entry against given - constant."""
+        columns = {p: {} for p in range(self.dim)}
+        rhs = {}
+        for pair in pairs:
             row = self.entries.get(pair, {})
-            given = mult.table.get(pair, {})
-            for w in sorted(set(row) | set(given)):
+            given = table.get(pair, {})
+            for w in {**row, **given}:
                 aff = row.get(w, {})
-                rows.append([aff.get(p, Fraction(0)) for p in range(self.dim)])
-                rhs.append(given.get(w, Fraction(0)) - aff.get(CONST, Fraction(0)))
-        sol = linalg.solve(rows, rhs) if rows else []
-        return None if sol is None else tuple(sol)
+                for p, c in aff.items():
+                    if p != CONST:
+                        columns[p][(pair, w)] = c
+                rhs[(pair, w)] = given.get(w, ZERO) - aff.get(CONST, ZERO)
+        sol = linalg.solve(columns, rhs)
+        return None if sol is None else tuple(sol.get(p, ZERO) for p in range(self.dim))
 
 
 def leibniz_solution_space(complex_):
@@ -124,26 +135,23 @@ def leibniz_solution_space(complex_):
     entries = {}
     dim = 0
     for pair, rho in leibniz_sweep(complex_, entries, aff_const(ONE), aff_add_scaled):
-        degree, targets, below, mat = _strand_data(complex_, *pair)
+        degree, targets, below, cols = _strand_data(complex_, *pair)
         if any(aff and w not in below for w, aff in rho.items()):
             raise ValueError(f"Leibniz right-hand side escapes the strand at pair {pair}")
-        params = sorted({p for aff in rho.values() for p in aff if p != CONST})
-        rhs_list = []
-        for key in [CONST] + params:
-            rhs_list.append([rho.get(h, {}).get(key, Fraction(0)) for h in below])
-        sols = linalg.solve_many(mat, rhs_list)
+        keys = [CONST] + sorted({p for aff in rho.values() for p in aff if p != CONST})
+        rhs_list = [{h: rho.get(h, {}).get(key, ZERO) for h in below} for key in keys]
+        sols = linalg.solve_many(cols, rhs_list)
         if any(s is None for s in sols):
             raise ValueError(f"Leibniz has no solution at pair {pair}")
+        # each kernel vector is a fresh parameter
+        kernel = linalg.nullspace(cols)
         row = {}
-        for key, sol in zip([CONST] + params, sols):
-            for w, c in zip(targets, sol):
+        for key, vec in zip(keys + list(range(dim, dim + len(kernel))), sols + kernel):
+            for w in targets:
+                c = vec.get(w)
                 if c:
                     row[w] = aff_add(row.get(w, {}), {key: c})
-        for vec in linalg.nullspace(mat, n=len(targets)):
-            for w, c in zip(targets, vec):
-                if c:
-                    row[w] = aff_add(row.get(w, {}), {dim: c})
-            dim += 1
+        dim += len(kernel)
         entries[pair] = row
     return MultiplicationSpace(complex_, entries, dim)
 
@@ -187,13 +195,13 @@ def forced_products(complex_):
         table[pair] = None
         if rho is None:
             continue
-        degree, targets, below, mat = _strand_data(complex_, *pair)
-        if linalg.nullspace(mat, n=len(targets)):
+        degree, targets, below, cols = _strand_data(complex_, *pair)
+        if linalg.rank(cols) < len(targets):
             continue
-        sol = linalg.solve(mat, [rho.get(h, Fraction(0)) for h in below])
+        sol = linalg.solve(cols, {h: rho.get(h, ZERO) for h in below})
         if sol is None:
             raise ValueError(f"Leibniz has no solution at pair {pair}")
-        table[pair] = {w: c for w, c in zip(targets, sol) if c}
+        table[pair] = {w: sol[w] for w in targets if w in sol}
     return ForcedProducts(complex_, table)
 
 

@@ -29,13 +29,11 @@ from .complexes import (
     Element,
     apply_rows,
     canonical_pairs,
-    element_vector,
     is_chain_map,
     scarf_complex,
     squarefree_part,
     strand_ids,
     taylor_complex,
-    vector_element,
 )
 from .ideals import (
     MonomialIdeal,
@@ -134,10 +132,12 @@ def degree_one_generation(mult, max_witnesses=10):
             _, sq = squarefree_part(F, p)
             spans.setdefault(sq.mdeg, []).append(sq)
         for b in F.basis_at(i):
-            window = strand_ids(F, i, b.mdeg)
-            rows = [element_vector(e, window) for e in spans.get(b.mdeg, [])]
-            target = element_vector(F.basis_element(b.bid), window)
-            if not linalg.in_row_space(rows, target):
+            window = set(strand_ids(F, i, b.mdeg))
+            vectors = [
+                {g: c for g, c in e.coeffs.items() if g in window}
+                for e in spans.get(b.mdeg, [])
+            ]
+            if not linalg.in_span(vectors, {b.bid: ONE}):
                 witnesses.append(b.bid)
     return not witnesses, witnesses[:max_witnesses]
 
@@ -156,14 +156,14 @@ def in_degree_one_span(mult, bid):
     if b.hdeg <= 1:
         return True
     one = [x.bid for x in F.basis_at(1)]
-    window = strand_ids(F, b.hdeg, b.mdeg)
-    rows = []
+    window = set(strand_ids(F, b.hdeg, b.mdeg))
+    vectors = []
     for seq in iproduct(one, repeat=b.hdeg):
         p = nested_product(mult, list(seq))
         if not p.coeffs or not divides(p.mdeg, b.mdeg):
             continue
-        rows.append(element_vector(p, window))
-    return linalg.in_row_space(rows, element_vector(F.basis_element(bid), window))
+        vectors.append({g: c for g, c in p.coeffs.items() if g in window})
+    return linalg.in_span(vectors, {bid: ONE})
 
 
 @dataclass
@@ -206,12 +206,14 @@ class TaylorMap:
                 return False
         return True
 
-    def _window(self, hdeg, a):
-        """Matrix of the map restricted to Taylor ids of the given hdeg
-        whose degree divides a, over the matching target window."""
-        srcs = strand_ids(self.taylor, hdeg, a)
-        cols = strand_ids(self.target, hdeg, a)
-        return srcs, cols, [element_vector(self.images[bid], cols) for bid in srcs]
+    def _window(self, hdeg, a, ids):
+        """Columns of the map on the Taylor ids of the given hdeg whose
+        degree divides a, restricted to the target ids `ids`."""
+        ids = set(ids)
+        return {
+            bid: {w: c for w, c in self.images[bid].coeffs.items() if w in ids}
+            for bid in strand_ids(self.taylor, hdeg, a)
+        }
 
     def surjective(self):
         """Rank test per (hdeg, exact multidegree) group of the target
@@ -222,28 +224,24 @@ class TaylorMap:
                 continue
             for b in blist:
                 groups.setdefault((i, b.mdeg), []).append(b.bid)
-        for (i, a), _ in sorted(groups.items()):
-            srcs, cols, rows = self._window(i, a)
-            exact = [j for j, w in enumerate(cols) if self.target.by_id[w].mdeg == a]
-            sub = [[r[j] for j in exact] for r in rows]
-            if linalg.rank(sub) < len(exact):
+        for (i, a), exact in sorted(groups.items()):
+            if linalg.rank(self._window(i, a, exact)) < len(exact):
                 return False
         return True
 
     def kernel_dimension(self, hdeg, a):
-        srcs, _, rows = self._window(hdeg, a)
-        return len(srcs) - linalg.rank(rows)
+        cols = self._window(hdeg, a, strand_ids(self.target, hdeg, a))
+        return len(cols) - linalg.rank(cols)
 
     def kernel_vectors(self, hdeg, a):
         """Basis of the kernel in the (hdeg, a) window, as elements of
-        the Taylor complex at multidegree a."""
-        srcs, _, rows = self._window(hdeg, a)
-        if not srcs:
-            return []
-        # combinations sum_j v_j x^(a - m_j) g_j; kernel = left kernel of rows
-        transposed = [[rows[r][c] for r in range(len(srcs))] for c in range(len(rows[0]))] if rows and rows[0] else []
-        vecs = linalg.nullspace(transposed, n=len(srcs))
-        return [vector_element(hdeg, a, srcs, v) for v in vecs]
+        the Taylor complex at multidegree a: combinations
+        sum_j v_j x^(a - m_j) g_j that the map sends to zero."""
+        cols = self._window(hdeg, a, strand_ids(self.target, hdeg, a))
+        return [
+            Element(hdeg, a, {g: vec[g] for g in cols if g in vec})
+            for vec in linalg.nullspace(cols)
+        ]
 
 
 def taylor_algebra_map(ideal, mult, cap=16):

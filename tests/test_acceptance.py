@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from test_simplicial import candidate_box, exhaustive_fvectors, trim
 
-from dgares import linalg
 from dgares.betti import (
     betti_from_complex,
     betti_poset,
@@ -59,7 +58,7 @@ from dgares.multiplication import (
     taylor_multiplication,
 )
 from dgares.simplicial import SimplicialComplex, cone, f_vector, is_cone_fvector, kruskal_katona_check
-from dgares.solve import CONST, associativity_scan, forced_products, leibniz_solution_space
+from dgares.solve import associativity_scan, forced_products, leibniz_solution_space
 from dgares.structure import (
     avramov_obstruction,
     hilbert_cone_check,
@@ -93,14 +92,7 @@ def finish(num, description, problems):
 
 def match_point(space, pair, want):
     """Parameter values sending one pair's row to the wanted scalars."""
-    row = space.entries.get(pair, {})
-    rows, rhs = [], []
-    for w in sorted(set(row) | set(want)):
-        aff = row.get(w, {})
-        rows.append([aff.get(p, F(0)) for p in range(space.dim)])
-        rhs.append(want.get(w, F(0)) - aff.get(CONST, F(0)))
-    sol = linalg.solve(rows, rhs)
-    return None if sol is None else tuple(sol)
+    return space.solve_for({pair: want}, [pair])
 
 
 def test_criterion_01_cycle_betti_numbers():

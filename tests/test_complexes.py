@@ -13,7 +13,6 @@ from dgares.complexes import (
     algebraic_scarf,
     apply_rows,
     diff_matrix,
-    element_vector,
     exactness_test_degrees,
     graded_component,
     homology_dims,
@@ -23,7 +22,6 @@ from dgares.complexes import (
     scarf_complex,
     squarefree_part,
     taylor_complex,
-    vector_element,
 )
 from dgares.corpus import (
     cycle_ideal,
@@ -137,17 +135,20 @@ def test_matrices_shapes_and_content():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     t = taylor_complex(ideal)
     mats = t.matrices()
-    assert len(mats[1]) == 1 and len(mats[1][0]) == 3
-    assert mats[1] == [[F(1), F(1), F(1)]]
-    assert len(mats[3]) == 3 and len(mats[3][0]) == 1
+    # one column per basis element, in basis order, d(g) as stored
+    assert list(mats[1]) == [(0,), (1,), (2,)]
+    assert mats[1] == {(0,): {(): F(1)}, (1,): {(): F(1)}, (2,): {(): F(1)}}
+    assert mats[3] == {(0, 1, 2): {(1, 2): F(1), (0, 2): F(-1), (0, 1): F(1)}}
 
 
 def test_diff_matrix_leaves_out_foreign_targets():
     t = taylor_complex(MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1))))
     # d(g_01) = g_1 - g_0 and d(g_02) = g_2 - g_0; only the row of g_0 is kept
-    assert diff_matrix(t, [(0,)], [(0, 1), (0, 2)]) == [[F(-1), F(-1)]]
-    assert diff_matrix(t, [(2,), (0,)], [(0, 2)]) == [[F(1)], [F(-1)]]
-    assert diff_matrix(t, [], [(0, 1)]) == []
+    assert diff_matrix(t, [(0,)], [(0, 1), (0, 2)]) == {
+        (0, 1): {(0,): F(-1)}, (0, 2): {(0,): F(-1)}}
+    assert diff_matrix(t, [(2,), (0,)], [(0, 2)]) == {(0, 2): {(2,): F(1), (0,): F(-1)}}
+    assert diff_matrix(t, [], [(0, 1)]) == {(0, 1): {}}
+    assert diff_matrix(t, [(0,)], []) == {}
 
 
 def test_apply_rows_reads_a_missing_row_as_zero():
@@ -277,8 +278,10 @@ def test_with_degrees_rescales():
 def test_vector_round_trip():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     t = taylor_complex(ideal)
-    f = Element(1, (2, 1, 1), {(0,): F(2), (2,): F(-5)})
-    ids = [(0,), (1,), (2,)]
-    vec = element_vector(f, ids)
-    assert vec == [F(2), F(0), F(-5)]
-    assert vector_element(1, (2, 1, 1), ids, vec) == f
+    # an element's coeffs is its sparse coordinate vector: zero
+    # coordinates are dropped, and the vector rebuilds the element
+    f = Element(1, (2, 1, 1), {(0,): F(2), (1,): F(0), (2,): F(-5)})
+    assert f.coeffs == {(0,): F(2), (2,): F(-5)}
+    assert Element(1, (2, 1, 1), f.coeffs) == f
+    column = diff_matrix(t, [(0,), (2,)], [(0, 2)])[(0, 2)]
+    assert t.apply_diff(t.basis_element((0, 2))).coeffs == column

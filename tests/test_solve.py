@@ -13,6 +13,7 @@ from dgares.corpus import (
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
 )
+from dgares.ideals import MonomialIdeal
 from dgares.minimize import minimal_resolution
 from dgares.multiplication import Multiplication, check_dga_axioms, taylor_multiplication
 from dgares.solve import (
@@ -91,6 +92,29 @@ def test_locate_parameter_values():
     broken = {p: dict(r) for p, r in taylor_multiplication(t).table.items()}
     broken[((0,), (1,))] = {(0, 1): F(-1)}
     assert space.locate(Multiplication(t, broken)) is None
+
+
+def test_solve_for_one_pair():
+    pair = ((0,), (2,))
+    space = leibniz_solution_space(algebraic_scarf(tagged_four_cycle_ideal()))
+    assert space.dim == 2
+    # the row is 1 + p0 + p1, 1 + p1, -p0 - p1, p0, p1 on five targets
+    want = {(0, 1): F(4), (1, 2): F(2), (0, 3): F(-3), (1, 3): F(2), (2, 3): F(1)}
+    assert space.solve_for({pair: want}, [pair]) == (F(2), F(1))
+    assert space.solve_for({pair: {**want, (0, 1): F(5)}}, [pair]) is None
+    # a missing row asks for zero; no rows leave every parameter free at 0
+    assert space.solve_for({}, [pair]) is None
+    values = space.solve_for({}, [])
+    assert values == (F(0), F(0)) and all(type(v) is Fraction for v in values)
+
+
+def test_leibniz_without_a_solution_raises():
+    # without g_01 the boundary of g_0 * g_1 has nothing to hit
+    t = taylor_complex(MonomialIdeal(2, ((1, 0), (0, 1)))).restricted_to([(), (0,), (1,)])
+    with pytest.raises(ValueError, match="Leibniz has no solution"):
+        leibniz_solution_space(t)
+    with pytest.raises(ValueError, match="Leibniz has no solution"):
+        forced_products(t)
 
 
 def test_table_at_rejects_the_wrong_number_of_values():

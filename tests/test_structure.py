@@ -209,16 +209,16 @@ def evaluated_ranks(complex_, point):
     at a rational point; a copy of the old generic-rank route."""
     ranks = []
     for i in range(1, complex_.max_hdeg + 1):
-        mat = []
+        cols = {}
         for s in complex_.basis_at(i):
-            row = []
+            col = {}
             for t in complex_.basis_at(i - 1):
                 c = complex_.diff_of(s.bid).get(t.bid, F(0))
                 for base, e in zip(point, vec_sub(s.mdeg, t.mdeg)):
                     c = c * base**e
-                row.append(c)
-            mat.append(row)
-        ranks.append(rank(mat))
+                col[t.bid] = c
+            cols[s.bid] = col
+        ranks.append(rank(cols))
     return ranks
 
 
