@@ -11,12 +11,13 @@ algebra over Q.
 An element's `coeffs` is already a sparse vector {id: scalar}, and
 `diff_matrix` hands d between two lists of basis ids to `linalg` as
 stored, column by column: g maps to d(g) restricted to the target ids.
-`apply_rows` applies a sparse map {id: {id: scalar}} (the differential,
-a transfer map, a homotopy) to an element.  Identities of such maps
-are checked here once, on every basis element: `is_chain_map` (dm = md) and
-`is_homotopy` (lhs = dh + hd).  The contraction of the scalar
-complex (`homotopy.Homotopy`) is a sparse row map too.  The Leibniz
-sweep over basis pairs lives in `multiplication.leibniz_sweep`.
+`apply` is the one application of a sparse map {id: {id: scalar}} (the
+differential, a transfer map, a homotopy) to a sparse vector, and
+`apply_rows` wraps it for Elements.  Identities of such maps are
+checked here once, on the rows of every basis element: `is_chain_map`
+(dm = md) and `is_homotopy` (lhs = dh + hd, lhs given as rows).  The
+contraction (`homotopy.Homotopy`) is a sparse row map too, and the
+Leibniz sweep over basis pairs lives in `multiplication.leibniz_sweep`.
 """
 
 from dataclasses import dataclass
@@ -153,17 +154,19 @@ class FreeComplex:
             bottom = self.basis_at(0)
             if len(bottom) != 1 or any(bottom[0].mdeg):
                 raise ValueError("augmented complex needs exactly one hdeg-0 generator in degree 0")
+        by_id = self.by_id
         for g, row in self.diff.items():
-            src = self.by_id[g]
-            for h, c in row.items():
-                tgt = self.by_id[h]
+            for h in row:
+                if g not in by_id or h not in by_id:
+                    unknown = h if g in by_id else g
+                    raise ValueError(f"diff entry {g}->{h} names the unknown basis id {unknown}")
+                src, tgt = by_id[g], by_id[h]
                 if tgt.hdeg != src.hdeg - 1:
                     raise ValueError(f"diff entry {g}->{h} does not drop hdeg by one")
                 if not divides(tgt.mdeg, src.mdeg):
                     raise ValueError(f"diff entry {g}->{h} violates multigrading")
         for g, row in self.diff.items():
-            src = self.by_id[g]
-            if apply_rows(self.diff, Element(src.hdeg - 1, src.mdeg, row), src.hdeg - 2).coeffs:
+            if apply(self.diff, row):
                 raise ValueError(f"d∘d != 0 at {g}")
 
     def apply_diff(self, f):
@@ -419,34 +422,44 @@ def diff_matrix(complex_, rows, cols):
     return {g: {h: c for h, c in complex_.diff_of(g).items() if h in rows} for g in cols}
 
 
-def apply_rows(rows, f, hdeg):
-    """The image at hdeg of f under the sparse map rows = {id: {id:
-    scalar}}, in f's multidegree; a missing row reads as zero."""
+def add_scaled(acc, c, row):
+    """acc += c * row on sparse vectors of plain scalars."""
+    for w, x in row.items():
+        acc[w] = acc.get(w, 0) + c * x
+
+
+def apply(rows, vec):
+    """The image of the sparse vector vec = {id: scalar} under the
+    sparse map rows = {id: {id: scalar}}, with zero entries dropped; a
+    missing row reads as zero."""
     out = {}
-    for g, c in f.coeffs.items():
-        for h, v in rows.get(g, {}).items():
-            out[h] = out.get(h, 0) + c * v
-    return Element(hdeg, f.mdeg, out)
+    for g, c in vec.items():
+        if c:
+            for h, v in rows.get(g, {}).items():
+                out[h] = out.get(h, 0) + c * v
+    return {h: c for h, c in out.items() if c}
+
+
+def apply_rows(rows, f, hdeg):
+    """`apply` on an Element: the image at hdeg, in f's multidegree."""
+    return Element(hdeg, f.mdeg, apply(rows, f.coeffs))
 
 
 def is_chain_map(src, tgt, rows):
     """Does the degree-preserving sparse map rows from src to tgt
     commute with the differentials on every basis element of src?"""
-    for g in src.by_id:
-        f = src.basis_element(g)
-        image = tgt.apply_diff(apply_rows(rows, f, f.hdeg))
-        if image != apply_rows(rows, src.apply_diff(f), f.hdeg - 1):
-            return False
-    return True
+    return all(
+        apply(tgt.diff, rows.get(g, {})) == apply(rows, src.diff_of(g)) for g in src.by_id
+    )
 
 
 def is_homotopy(complex_, rows, lhs):
-    """Is lhs(f) = d(hf) + h(df) on every basis element f, for the
-    sparse map h = rows raising hdeg by one?"""
+    """Is lhs = dh + hd on every basis element, for the sparse maps h =
+    rows raising hdeg by one and lhs?  A missing row reads as zero."""
     for g in complex_.by_id:
-        f = complex_.basis_element(g)
-        dh = complex_.apply_diff(apply_rows(rows, f, f.hdeg + 1))
-        hd = apply_rows(rows, complex_.apply_diff(f), f.hdeg)
-        if lhs(f) != dh.add(hd):
+        residual = dict(lhs.get(g, {}))
+        add_scaled(residual, -ONE, apply(complex_.diff, rows.get(g, {})))
+        add_scaled(residual, -ONE, apply(rows, complex_.diff_of(g)))
+        if any(residual.values()):
             return False
     return True

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import Element, FreeComplex, apply_rows, is_homotopy
+from .complexes import FreeComplex, add_scaled, apply, is_homotopy
 from .ideals import scale_ideal, vec_add
 from .minimize import minimal_resolution
-from .multiplication import Multiplication, add_scaled, leibniz_sweep
+from .multiplication import Multiplication, leibniz_sweep
 
 ONE = Fraction(1)
 
@@ -35,20 +35,15 @@ class Homotopy:
         self.complex = complex_
         self.sigma = sigma
 
-    def apply(self, f):
-        """sigma on an element; the multidegree rides along unchanged,
-        so the result is Laurent in general."""
-        return apply_rows(self.sigma, f, f.hdeg + 1)
-
     def verify(self):
-        """Exact check of the contraction identities on every basis
-        element."""
-        F = self.complex
-        if not is_homotopy(F, self.sigma, lambda f: f):
+        """Exact check of the contraction identities on the rows of
+        every basis element."""
+        F, sigma = self.complex, self.sigma
+        if not is_homotopy(F, sigma, {g: {g: ONE} for g in F.by_id}):
             return False
         for g in F.by_id:
-            s = self.apply(F.basis_element(g))
-            if self.apply(s).coeffs or self.apply(F.apply_diff(s)) != s:
+            s = apply(sigma, {g: ONE})
+            if apply(sigma, s) or apply(sigma, apply(F.diff, s)) != s:
                 return False
         return True
 
@@ -90,13 +85,11 @@ def laurent_dga(complex_, homotopy=None):
     associator; the result is an honest DGA over the Laurent ring."""
     if homotopy is None:
         homotopy = contracting_homotopy(complex_)
-    by_id = complex_.by_id
     table = {}
-    for (u, v), rho in leibniz_sweep(complex_, table, ONE, add_scaled):
-        bu, bv = by_id[u], by_id[v]
-        prod = homotopy.apply(Element(bu.hdeg + bv.hdeg - 1, vec_add(bu.mdeg, bv.mdeg), rho))
-        if prod.coeffs:
-            table[(u, v)] = dict(prod.coeffs)
+    for pair, rho in leibniz_sweep(complex_, table, ONE, add_scaled):
+        prod = apply(homotopy.sigma, rho)
+        if prod:
+            table[pair] = prod
     return Multiplication(complex_, table, laurent=True)
 
 

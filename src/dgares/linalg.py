@@ -16,7 +16,7 @@ from fractions import Fraction
 ONE = Fraction(1)
 
 
-class _Echelon:
+class Echelon:
     """The columns, each reduced against the pivots before it.
 
     Pivot k keeps its column key, a pivot row, the reduced column b_k
@@ -72,43 +72,44 @@ class _Echelon:
                 coords[m] = coords.get(m, 0) + a * s
         return out
 
+    def solve(self, rhs):
+        """The solution that is 0 on every dependent column, or None
+        when rhs lies outside the column span."""
+        residual, coords = self.reduce(rhs)
+        return None if residual else self.express(coords)
+
+    def kernel(self):
+        """Kernel basis: per dependent column, that column with
+        coefficient 1 minus its combination of the pivot columns before
+        it."""
+        return [
+            {**{k: -c for k, c in self.express(coords).items()}, key: ONE}
+            for key, coords in self.dependent
+        ]
+
 
 def pivots(columns):
     """Keys of the columns independent of the columns before them."""
-    return _Echelon(columns).keys
+    return Echelon(columns).keys
 
 
 def rank(columns):
-    return len(_Echelon(columns).keys)
+    return len(Echelon(columns).keys)
 
 
 def nullspace(columns):
-    """Kernel basis: per dependent column, that column with coefficient
-    1 minus its combination of the pivot columns before it."""
-    ech = _Echelon(columns)
-    basis = []
-    for key, coords in ech.dependent:
-        vec = {k: -c for k, c in ech.express(coords).items()}
-        vec[key] = ONE
-        basis.append(vec)
-    return basis
+    return Echelon(columns).kernel()
 
 
 def solve_many(columns, rhs_list):
-    """Per right-hand side, the solution that is 0 on every dependent
-    column, or None when the rhs is not in the column span."""
-    ech = _Echelon(columns)
-    out = []
-    for rhs in rhs_list:
-        residual, coords = ech.reduce(rhs)
-        out.append(None if residual else ech.express(coords))
-    return out
+    """Per right-hand side, `Echelon.solve` against one elimination."""
+    return list(map(Echelon(columns).solve, rhs_list))
 
 
 def solve(columns, rhs):
-    return solve_many(columns, [rhs])[0]
+    return Echelon(columns).solve(rhs)
 
 
 def in_span(vectors, vec):
     """Is vec a combination of the given sparse vectors?"""
-    return not _Echelon(dict(enumerate(vectors))).reduce(vec)[0]
+    return not Echelon(dict(enumerate(vectors))).reduce(vec)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .complexes import Element, canonical_pairs
+from .complexes import Element, add_scaled, apply, canonical_pairs
 from .ideals import divides, join, vec_add
 
 ONE = Fraction(1)
@@ -50,12 +50,6 @@ def lookup(by_id, table, a, b, one):
         return {}, ONE
     key, sign = fold(by_id, a, b)
     return table.get(key, {}), sign
-
-
-def add_scaled(acc, c, row):
-    """acc += c * row on rows of plain scalars."""
-    for w, x in row.items():
-        acc[w] = acc.get(w, 0) + c * x
 
 
 def row_product(by_id, table, f, g):
@@ -113,6 +107,9 @@ class Multiplication:
         self.table = {}
         by_id = complex_.by_id
         for (u, v), row in table.items():
+            unknown = [b for b in (u, v, *row) if b not in by_id]
+            if unknown:
+                raise ValueError(f"table entry ({u}, {v}) names the unknown basis id {unknown[0]}")
             if by_id[u].hdeg < 1 or by_id[v].hdeg < 1:
                 raise ValueError(f"table pair ({u}, {v}) involves the hdeg-0 generator")
             key, sign = fold(by_id, u, v)
@@ -200,14 +197,13 @@ def transfer_multiplication(mult, transfer):
     has to be re-checked on the result."""
     if mult.complex is not transfer.big:
         raise ValueError("the multiplication lives on another complex than the transfer's")
-    small = transfer.small
-    included = {w: transfer.incl_element(small.basis_element(w)) for w in small.positive_ids()}
+    by_id, incl = mult.complex.by_id, transfer.incl
     table = {}
-    for u, v in canonical_pairs(small):
-        back = transfer.proj_element(mult.multiply(included[u], included[v]))
-        if back.coeffs:
-            table[(u, v)] = dict(back.coeffs)
-    return Multiplication(small, table)
+    for u, v in canonical_pairs(transfer.small):
+        back = apply(transfer.proj, row_product(by_id, mult.table, incl.get(u, {}), incl.get(v, {})))
+        if back:
+            table[(u, v)] = back
+    return Multiplication(transfer.small, table)
 
 
 @dataclass
@@ -277,11 +273,11 @@ def check_dga_axioms(mult, associativity=True, max_witnesses=10):
     by_id = complex_.by_id
     failures = []
     for (u, v), rhs in leibniz_sweep(complex_, mult.table, ONE, add_scaled):
-        bu, bv = by_id[u], by_id[v]
-        product = Element(bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg), mult.table.get((u, v)))
-        residual = complex_.apply_diff(product).sub(Element(product.hdeg - 1, product.mdeg, rhs))
-        if not residual.is_zero():
-            failures.append((u, v, residual))
+        residual = apply(complex_.diff, mult.table.get((u, v), {}))
+        add_scaled(residual, -ONE, rhs)
+        if any(residual.values()):
+            bu, bv = by_id[u], by_id[v]
+            failures.append((u, v, Element(bu.hdeg + bv.hdeg - 1, vec_add(bu.mdeg, bv.mdeg), residual)))
     failures.sort(key=lambda witness: witness[:2])
     report.leibniz = not failures
     report.leibniz_failures = failures[:max_witnesses]

@@ -140,11 +140,12 @@ def leibniz_solution_space(complex_):
             raise ValueError(f"Leibniz right-hand side escapes the strand at pair {pair}")
         keys = [CONST] + sorted({p for aff in rho.values() for p in aff if p != CONST})
         rhs_list = [{h: rho.get(h, {}).get(key, ZERO) for h in below} for key in keys]
-        sols = linalg.solve_many(cols, rhs_list)
+        echelon = linalg.Echelon(cols)
+        sols = [echelon.solve(rhs) for rhs in rhs_list]
         if any(s is None for s in sols):
             raise ValueError(f"Leibniz has no solution at pair {pair}")
         # each kernel vector is a fresh parameter
-        kernel = linalg.nullspace(cols)
+        kernel = echelon.kernel()
         row = {}
         for key, vec in zip(keys + list(range(dim, dim + len(kernel))), sols + kernel):
             for w in targets:
@@ -196,9 +197,10 @@ def forced_products(complex_):
         if rho is None:
             continue
         degree, targets, below, cols = _strand_data(complex_, *pair)
-        if linalg.rank(cols) < len(targets):
+        echelon = linalg.Echelon(cols)
+        if len(echelon.keys) < len(targets):
             continue
-        sol = linalg.solve(cols, {h: rho.get(h, ZERO) for h in below})
+        sol = echelon.solve({h: rho.get(h, ZERO) for h in below})
         if sol is None:
             raise ValueError(f"Leibniz has no solution at pair {pair}")
         table[pair] = {w: sol[w] for w in targets if w in sol}

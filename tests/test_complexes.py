@@ -11,6 +11,7 @@ from dgares.complexes import (
     Element,
     FreeComplex,
     algebraic_scarf,
+    apply,
     apply_rows,
     diff_matrix,
     exactness_test_degrees,
@@ -120,6 +121,16 @@ def test_validate_rejects_broken_differentials():
         FreeComplex(2, {0: [b0], 1: [BasisElement((), 1, (1, 0))]}, {})
 
 
+@pytest.mark.parametrize("diff", [
+    {(0,): {(): F(1)}, (9,): {(0,): F(1)}},
+    {(0,): {(9,): F(1)}},
+], ids=["source", "target"])
+def test_free_complex_names_an_unknown_basis_id(diff):
+    bases = {0: [BasisElement((), 0, (0, 0))], 1: [BasisElement((0,), 1, (1, 0))]}
+    with pytest.raises(ValueError, match=r"unknown basis id \(9,\)"):
+        FreeComplex(2, bases, diff)
+
+
 def test_unit_and_apply_diff():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     t = taylor_complex(ideal)
@@ -156,6 +167,10 @@ def test_apply_rows_reads_a_missing_row_as_zero():
     image = apply_rows({(0,): {(5,): F(2), (6,): F(-1)}}, f, 4)
     assert image == Element(4, (1, 1), {(5,): F(6), (6,): F(-3)})
     assert apply_rows({}, f, 0).is_zero()
+    # apply itself, on sparse vectors: entries that cancel are dropped
+    rows = {(0,): {(5,): F(2), (6,): F(-1)}, (1,): {(6,): F(3)}}
+    assert apply(rows, {(0,): F(3), (1,): F(1), (2,): F(7)}) == {(5,): F(6)}
+    assert apply(rows, {(0,): F(0), (1,): F(1)}) == {(6,): F(3)}
 
 
 def test_scarf_of_generic_ideal_is_everything():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgares.complexes import Element, is_minimal, is_resolution, taylor_complex
+from dgares.complexes import Element, apply_rows, is_minimal, is_resolution, taylor_complex
 from dgares.corpus import (
     cycle_ideal,
     path_ideal,
@@ -23,6 +23,7 @@ from dgares.homotopy import (
 from dgares.ideals import divides, scale_ideal, vec_add
 from dgares.minimize import minimal_resolution
 from dgares.multiplication import check_dga_axioms
+from test_minimize import dropped_entries
 
 F = Fraction
 
@@ -37,12 +38,16 @@ def test_contraction_identities():
 def test_contraction_elementwise():
     res = minimal_resolution(tagged_four_cycle_ideal()).complex
     h = contracting_homotopy(res)
+    # the Element reference for Homotopy.verify
+    def sigma(f):
+        return apply_rows(h.sigma, f, f.hdeg + 1)
+
     for bid in res.by_id:
         f = res.basis_element(bid)
-        lhs = res.apply_diff(h.apply(f)).add(h.apply(res.apply_diff(f)))
+        lhs = res.apply_diff(sigma(f)).add(sigma(res.apply_diff(f)))
         # multidegrees of sigma images ride along, compare coefficients
         assert lhs.coeffs == f.coeffs
-        assert h.apply(h.apply(f)).is_zero()
+        assert sigma(sigma(f)).is_zero()
 
 
 def test_contraction_verify_rejects_a_flipped_entry():
@@ -54,6 +59,17 @@ def test_contraction_verify_rejects_a_flipped_entry():
         flipped = {k: dict(v) for k, v in sigma.items()}
         flipped[g][h] = -flipped[g][h]
         assert not Homotopy(res, flipped).verify()
+
+
+def test_contraction_verify_rejects_a_dropped_entry():
+    res = minimal_resolution(cycle_ideal(6)).complex
+    sigma = contracting_homotopy(res).sigma
+    count = emptied = 0
+    for dropped in dropped_entries(sigma):
+        assert not Homotopy(res, dropped).verify()
+        count += 1
+        emptied += len(dropped) < len(sigma) or {} in dropped.values()
+    assert count > 0 and emptied > 0
 
 
 def test_contraction_rejects_non_exact_scalar_complexes():

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from dgares.complexes import is_minimal, is_resolution, scarf_complex, taylor_complex
+from dgares.complexes import (
+    add_scaled,
+    apply,
+    apply_rows,
+    is_chain_map,
+    is_homotopy,
+    is_minimal,
+    is_resolution,
+    scarf_complex,
+    taylor_complex,
+)
 from dgares.corpus import (
     catalog_ideals,
     cycle_ideal,
@@ -92,14 +102,18 @@ def test_transfer_identities_elementwise():
     ideal = tagged_four_cycle_ideal()
     t = taylor_complex(ideal)
     small, tr = minimize(t)
+    # the reference for TransferData.verify: every identity on Elements
     for g in small.by_id:
         f = small.basis_element(g)
         # chain map through the inclusion
-        assert t.apply_diff(tr.incl_element(f)) == tr.incl_element(small.apply_diff(f))
+        assert t.apply_diff(apply_rows(tr.incl, f, f.hdeg)) == apply_rows(
+            tr.incl, small.apply_diff(f), f.hdeg - 1)
+        assert apply_rows(tr.proj, apply_rows(tr.incl, f, f.hdeg), f.hdeg) == f
     for g in t.by_id:
         f = t.basis_element(g)
-        lhs = tr.incl_element(tr.proj_element(f)).sub(f)
-        rhs = t.apply_diff(tr.homotopy_element(f)).add(tr.homotopy_element(t.apply_diff(f)))
+        lhs = apply_rows(tr.incl, apply_rows(tr.proj, f, f.hdeg), f.hdeg).sub(f)
+        rhs = t.apply_diff(apply_rows(tr.homotopy, f, f.hdeg + 1)).add(
+            apply_rows(tr.homotopy, t.apply_diff(f), f.hdeg))
         assert lhs == rhs
 
 
@@ -110,6 +124,18 @@ def flipped_entries(rows):
             new = {k: dict(v) for k, v in rows.items()}
             new[g][h] = -new[g][h]
             yield new
+
+
+def dropped_entries(rows):
+    """Every copy of the sparse map rows with one entry deleted; a row
+    that this leaves empty comes once as {} and once deleted too."""
+    for g in sorted(rows):
+        for h in sorted(rows[g]):
+            new = {k: dict(v) for k, v in rows.items()}
+            del new[g][h]
+            yield new
+            if not new[g]:
+                yield {k: v for k, v in new.items() if k != g}
 
 
 @pytest.mark.parametrize("name", ["incl", "proj", "homotopy"])
@@ -123,6 +149,40 @@ def test_transfer_verify_rejects_a_flipped_entry(name):
         assert not broken.verify()
         count += 1
     assert count > 0
+
+
+@pytest.mark.parametrize("name", ["incl", "proj", "homotopy"])
+def test_transfer_verify_rejects_a_dropped_entry(name):
+    small, tr = minimize(taylor_complex(cycle_ideal(6)))
+    maps = {"incl": tr.incl, "proj": tr.proj, "homotopy": tr.homotopy}
+    count = emptied = 0
+    for new in dropped_entries(maps[name]):
+        broken = TransferData(tr.big, tr.small, **dict(maps, **{name: new}))
+        assert not broken.verify()
+        count += 1
+        emptied += len(new) < len(maps[name]) or {} in new.values()
+    # rows left empty or missing must read as zero on both sides
+    assert count > 0 and emptied > 0
+
+
+def test_transfer_verify_rejects_a_projection_that_is_not_a_left_inverse():
+    # proj + dk + kd is still a chain map, and incl∘proj - id stays
+    # dH' + H'd with H' = H + incl∘k, so only proj∘incl = id can fail
+    small, tr = minimize(taylor_complex(cycle_ideal(6)))
+    big, y = tr.big, (0,)  # k sends the unit () to y
+    proj = {g: dict(row) for g, row in tr.proj.items()}
+    homotopy = {g: dict(row) for g, row in tr.homotopy.items()}
+    add_scaled(proj.setdefault((), {}), 1, small.diff_of(y))
+    for g, row in big.diff.items():
+        if () in row:
+            add_scaled(proj.setdefault(g, {}), row[()], {y: 1})
+    add_scaled(homotopy.setdefault((), {}), 1, tr.incl[y])
+    lhs = {g: apply(tr.incl, proj.get(g, {})) for g in big.by_id}
+    for g, row in lhs.items():
+        row[g] = row.get(g, 0) - 1
+    assert is_chain_map(big, small, proj) and is_homotopy(big, homotopy, lhs)
+    assert apply(proj, tr.incl[()]) != {(): 1}
+    assert not TransferData(big, small, tr.incl, proj, homotopy).verify()
 
 
 def test_cancel_pairs_runs_requested_cancellations():

@@ -289,6 +289,16 @@ def test_guards_hold_without_asserts():
     ]
 
 
+@pytest.mark.parametrize("table", [
+    {((99,), (1,)): {(0, 1): F(1)}},
+    {((0,), (1,)): {(99,): F(1)}},
+], ids=["pair", "target"])
+def test_multiplication_names_an_unknown_basis_id(table):
+    t = taylor_complex(taylor_equals_scarf_ideal())
+    with pytest.raises(ValueError, match=r"unknown basis id \(99,\)"):
+        Multiplication(t, table)
+
+
 def _elementwise_leibniz(mult, max_witnesses):
     """The Leibniz check as check_dga_axioms ran it before the sweep:
     d(e_u e_v) - (du * e_v + (-1)^|u| e_u * dv) on every pair, with
@@ -344,7 +354,7 @@ def test_swept_leibniz_matches_the_elementwise_check():
             if not mult.pairs():
                 continue
             for candidate in (mult, _perturbed(mult, rng)):
-                for max_witnesses in (2, 10):
+                for max_witnesses in (1, 10):
                     flag, witnesses = _elementwise_leibniz(candidate, max_witnesses)
                     report = check_dga_axioms(candidate, associativity=False, max_witnesses=max_witnesses)
                     assert report.leibniz == flag

@@ -1,6 +1,6 @@
 """Write the user-visible outputs of a dgares checkout into one directory.
 
-    python tools/dump_outputs.py OUT [--root CHECKOUT]
+    python tools/dump_outputs.py OUT [--library] [--root CHECKOUT]
 
 Runs the command line of the checkout (default: the one holding this
 script) on the catalog ideals and ten seeded random ideals:
@@ -12,6 +12,14 @@ the command's stdout, the last line of its stderr and its exit code,
 so that the outputs of two checkouts compare with one command:
 
     diff -r OUT_A OUT_B
+
+With --library it also writes NAME.library.txt per ideal, from the
+library API of the checkout: the transferred and Laurent tables, the
+Leibniz solution space and the forced products, each in insertion
+order; the verdicts of `TransferData.verify` and `Homotopy.verify` on
+the true maps and on every copy with one entry negated or deleted; and
+the axiom reports, witnesses included, of each product and of a copy
+with one entry moved inside its strand.
 
 Standard library only; the random ideals are drawn here, not by dgares,
 so both checkouts see the same inputs.
@@ -33,6 +41,100 @@ from dgares.ioformats import format_ideal
 for label, ideal in catalog_ideals():
     print("#", label)
     print(format_ideal(ideal, bracket=True), end="")
+"""
+
+# Run as a script against a checkout's src/, with the ideal file as argv[1].
+_LIBRARY = """
+import random
+import sys
+
+from dgares.complexes import strand_ids, taylor_complex
+from dgares.homotopy import Homotopy, contracting_homotopy, laurent_dga
+from dgares.ideals import vec_add
+from dgares.ioformats import parse_ideal_file
+from dgares.minimize import TransferData, minimize
+from dgares.multiplication import (
+    Multiplication, check_dga_axioms, taylor_multiplication, transfer_multiplication)
+from dgares.solve import forced_products, leibniz_solution_space
+
+FULL_AXIOMS_MAX_BASIS = 30
+
+
+def show(title, table):
+    print(title, len(table))
+    for pair, row in table.items():
+        print(" ", pair, row if row is None else list(row.items()))
+
+
+def mutants(rows):
+    for g in sorted(rows):
+        for h in sorted(rows[g]):
+            flipped = {k: dict(v) for k, v in rows.items()}
+            flipped[g][h] = -flipped[g][h]
+            dropped = {k: dict(v) for k, v in rows.items()}
+            del dropped[g][h]
+            yield flipped
+            yield dropped
+
+
+def verdicts(title, make, rows):
+    print(title, "".join("1" if make(new).verify() else "0" for new in mutants(rows)))
+
+
+def strand(complex_, u, v):
+    bu, bv = complex_.by_id[u], complex_.by_id[v]
+    return strand_ids(complex_, bu.hdeg + bv.hdeg, vec_add(bu.mdeg, bv.mdeg))
+
+
+def perturbed(mult, rng):
+    complex_ = mult.complex
+    pairs = [(u, v) for u, v in mult.pairs() if strand(complex_, u, v)]
+    if not pairs:
+        return None
+    u, v = rng.choice(pairs)
+    w = rng.choice(strand(complex_, u, v))
+    table = {p: dict(r) for p, r in mult.table.items()}
+    row = table.setdefault((u, v), {})
+    row[w] = row.get(w, 0) + rng.choice([-2, -1, 1, 3])
+    return Multiplication(complex_, table, laurent=mult.laurent)
+
+
+ideal = parse_ideal_file(sys.argv[1])
+taylor = taylor_complex(ideal)
+small, transfer = minimize(taylor)
+homotopy = contracting_homotopy(small)
+shuffle = taylor_multiplication(taylor)
+space = leibniz_solution_space(small)
+products = {
+    "shuffle": shuffle,
+    "transferred": transfer_multiplication(shuffle, transfer),
+    "particular": space.particular(),
+    "laurent": laurent_dga(small, homotopy),
+}
+show("transferred", products["transferred"].table)
+show("laurent", products["laurent"].table)
+show("space dim %d, pairs" % space.dim, space.entries)
+show("forced", forced_products(small).table)
+
+print("transfer verify", transfer.verify())
+maps = {"incl": transfer.incl, "proj": transfer.proj, "homotopy": transfer.homotopy}
+for name, rows in maps.items():
+    verdicts("transfer verify, one %s entry changed" % name,
+             lambda new: TransferData(transfer.big, transfer.small, **dict(maps, **{name: new})), rows)
+print("contraction verify", homotopy.verify())
+verdicts("contraction verify, one entry changed", lambda new: Homotopy(small, new), homotopy.sigma)
+
+rng = random.Random(0)
+for name, mult in products.items():
+    full = len(mult.complex.positive_ids()) <= FULL_AXIOMS_MAX_BASIS
+    for label, candidate in ((name, mult), (name + " perturbed", perturbed(mult, rng))):
+        if candidate is None:
+            continue
+        report = check_dga_axioms(candidate, associativity=full)
+        print(label, report.summary())
+        for kind in ("multigraded", "commutative", "leibniz", "associative"):
+            for witness in getattr(report, kind + "_failures"):
+                print(" ", kind, witness)
 """
 
 
@@ -86,6 +188,9 @@ def main(argv=None):
     parser.add_argument(
         "--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         help="checkout whose src/ and demos/ are run")
+    parser.add_argument(
+        "--library", action="store_true",
+        help="also write the library outputs (tables, verdicts, axiom reports) per ideal")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     out = os.path.abspath(args.out)
@@ -106,6 +211,8 @@ def main(argv=None):
                 os.path.join(out, "%s.dga-%s.json" % (name, mode)))
         run(root, ["-m", "dgares", "--json", "resolve", "--show-transfer", path],
             os.path.join(out, "%s.resolve.json" % name))
+        if args.library:
+            run(root, ["-c", _LIBRARY, path], os.path.join(out, "%s.library.txt" % name))
 
     run(root, ["-m", "dgares", "examples", "run", "all"],
         os.path.join(out, "examples.txt"))
