@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .complexes import component_on, homology_dims, taylor_complex
+from .complexes import homology_dims, taylor_complex
 from .ideals import divides, total_degree
 from .lattices import Poset
 from .minimize import minimal_resolution
@@ -68,7 +68,7 @@ def betti_table_direct(ideal, cap=16):
             by_degree.setdefault(b.mdeg, {}).setdefault(i, []).append(b.bid)
     entries = {}
     for a, ids in by_degree.items():
-        for i, dim in homology_dims(component_on(t, a, ids)).items():
+        for i, dim in homology_dims(t, ids).items():
             if dim:
                 entries[(i, a)] = dim
     return BettiTable(ideal.num_vars, entries)

@@ -11,13 +11,18 @@ algebra over Q.
 An element's `coeffs` is already a sparse vector {id: scalar}, and
 `diff_matrix` hands d between two lists of basis ids to `linalg` as
 stored, column by column: g maps to d(g) restricted to the target ids.
-`apply` is the one application of a sparse map {id: {id: scalar}} (the
-differential, a transfer map, a homotopy) to a sparse vector, and
-`apply_rows` wraps it for Elements.  Identities of such maps are
-checked here once, on the rows of every basis element: `is_chain_map`
-(dm = md) and `is_homotopy` (lhs = dh + hd, lhs given as rows).  The
-contraction (`homotopy.Homotopy`) is a sparse row map too, and the
-Leibniz sweep over basis pairs lives in `multiplication.leibniz_sweep`.
+`strand` lists the basis ids of one multidegree strand, and
+`homology_dims` reads the homology of such an id set off the ranks of
+those columns.  `apply` is the one application of a sparse map
+{id: {id: scalar}} (the differential, a transfer map, a homotopy) to a
+sparse vector, and `apply_rows` wraps it for Elements.  Identities of
+such maps are checked here once, on the rows of every basis element:
+`is_chain_map` (dm = md) and `is_homotopy` (lhs = dh + hd, lhs given as
+rows); `grading_fault` is the one grading rule, run on d, the transfer
+maps and the Taylor algebra map, but not on the Laurent contraction,
+whose entries may carry negative exponents by design.  The contraction
+(`homotopy.Homotopy`) is a sparse row map too, and the Leibniz sweep
+over basis pairs lives in `multiplication.leibniz_sweep`.
 """
 
 from dataclasses import dataclass
@@ -154,17 +159,9 @@ class FreeComplex:
             bottom = self.basis_at(0)
             if len(bottom) != 1 or any(bottom[0].mdeg):
                 raise ValueError("augmented complex needs exactly one hdeg-0 generator in degree 0")
-        by_id = self.by_id
-        for g, row in self.diff.items():
-            for h in row:
-                if g not in by_id or h not in by_id:
-                    unknown = h if g in by_id else g
-                    raise ValueError(f"diff entry {g}->{h} names the unknown basis id {unknown}")
-                src, tgt = by_id[g], by_id[h]
-                if tgt.hdeg != src.hdeg - 1:
-                    raise ValueError(f"diff entry {g}->{h} does not drop hdeg by one")
-                if not divides(tgt.mdeg, src.mdeg):
-                    raise ValueError(f"diff entry {g}->{h} violates multigrading")
+        fault = grading_fault(self, self, self.diff, -1)
+        if fault:
+            raise ValueError(f"diff entry {fault}")
         for g, row in self.diff.items():
             if apply(self.diff, row):
                 raise ValueError(f"d∘d != 0 at {g}")
@@ -297,48 +294,25 @@ def lyubeznik(ideal, order):
 # -- graded strands and homology ------------------------------------------
 
 
-@dataclass
-class GradedComponent:
-    """The degree-a strand: per hdeg the surviving basis ids (mdeg <= a)
-    and the columns of d between consecutive strands."""
-
-    degree: tuple
-    ids: dict
-    matrices: dict
+def strand(complex_, a):
+    """The degree-a strand: {hdeg: basis ids whose degree divides a},
+    with empty hdegs left out."""
+    return {i: ids for i in complex_.bases if (ids := strand_ids(complex_, i, a))}
 
 
-def graded_component(complex_, a):
-    ids = {}
-    for i in complex_.bases:
-        kept = strand_ids(complex_, i, a)
-        if kept:
-            ids[i] = kept
-    return component_on(complex_, a, ids)
-
-
-def component_on(complex_, a, ids):
-    """The component on the given {hdeg: basis ids} in degree a, with
-    the columns of d between consecutive hdegs."""
-    top = max(ids) if ids else 0
-    matrices = {
-        i: diff_matrix(complex_, ids.get(i - 1, []), ids.get(i, []))
-        for i in range(1, top + 1)
+def homology_dims(complex_, ids):
+    """{i: dim_k H_i} of the piece of the complex on the basis ids
+    {hdeg: ids} (a strand, or the ids of one exact degree), with d
+    between consecutive hdegs restricted to those ids."""
+    ranks = {
+        i: linalg.rank(diff_matrix(complex_, ids.get(i - 1, []), cols))
+        for i, cols in ids.items()
+        if i >= 1
     }
-    return GradedComponent(tuple(a), ids, matrices)
-
-
-def homology_dims(gc):
-    """{i: dim_k H_i} of a graded component."""
-    top = max(gc.ids) if gc.ids else -1
-    dims = {}
-    ranks = {}
-    for i in range(1, top + 2):
-        ranks[i] = linalg.rank(gc.matrices.get(i, {}))
-    for i in range(0, top + 1):
-        n_i = len(gc.ids.get(i, []))
-        kernel = n_i - ranks.get(i, 0) if i >= 1 else n_i
-        dims[i] = kernel - ranks.get(i + 1, 0)
-    return dims
+    return {
+        i: len(ids.get(i, [])) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        for i in range(max(ids, default=-1) + 1)
+    }
 
 
 def exactness_test_degrees(ideal):
@@ -354,7 +328,7 @@ def is_resolution(complex_, ideal):
     if not complex_.augmented:
         return False
     for a in exactness_test_degrees(ideal):
-        dims = homology_dims(graded_component(complex_, a))
+        dims = homology_dims(complex_, strand(complex_, a))
         expected_h0 = 0 if ideal.contains_monomial(a) else 1
         if dims.get(0, 0) != expected_h0:
             return False
@@ -413,6 +387,27 @@ def canonical_pairs(complex_):
 
 
 # -- sparse maps -----------------------------------------------------------
+
+
+_HDEG_STEP = {-1: "drop hdeg by one", 0: "keep its hdeg", 1: "raise hdeg by one"}
+
+
+def grading_fault(src, tgt, rows, shift):
+    """The first entry g -> h of the sparse map rows, from src's basis
+    to tgt's, that names an unknown id, does not move hdeg by `shift`,
+    or has mdeg h not dividing mdeg g (a non-polynomial implied
+    monomial), as a message; None when every entry is graded."""
+    for g, row in rows.items():
+        for h in row:
+            if g not in src.by_id or h not in tgt.by_id:
+                unknown = h if g in src.by_id else g
+                return f"{g}->{h} names the unknown basis id {unknown}"
+            bg, bh = src.by_id[g], tgt.by_id[h]
+            if bh.hdeg != bg.hdeg + shift:
+                return f"{g}->{h} does not {_HDEG_STEP[shift]}"
+            if not divides(bh.mdeg, bg.mdeg):
+                return f"{g}->{h} violates multigrading"
+    return None
 
 
 def diff_matrix(complex_, rows, cols):

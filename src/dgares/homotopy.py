@@ -5,11 +5,11 @@ Reading only the scalar coefficients of a resolution of S/I gives an
 exact complex of Q-vector spaces: after inverting all variables the
 ideal contains units, so the localized complex resolves zero, and every
 multidegree strand of it is the full scalar complex.  A contraction s
-of that complex (ds + sd = id, ss = 0) turns each Leibniz right-hand
-side into a product, u*v := s(du * v + (-1)^|u| u * dv), level by
-level.  The table is a DGA whose implied monomials may carry negative
-exponents; shifting every positive-degree basis degree by the lcm of
-the generators makes them polynomial again.
+of that complex (ds + sd = id and ss = 0, which give sds = s) turns
+each Leibniz right-hand side into a product, u*v := s(du * v +
+(-1)^|u| u * dv), level by level.  The table is a DGA whose implied
+monomials may carry negative exponents; shifting every positive-degree
+basis degree by the lcm of the generators makes them polynomial again.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ ONE = Fraction(1)
 class Homotopy:
     """A contraction of the scalar complex, stored as the sparse row map
     sigma = {id at hdeg i: {id at hdeg i+1: scalar}}, with
-    d sigma + sigma d = id, sigma sigma = 0 and sigma d sigma = sigma."""
+    d sigma + sigma d = id and sigma sigma = 0 (see `verify`)."""
 
     __slots__ = ("complex", "sigma")
 
@@ -36,16 +36,16 @@ class Homotopy:
         self.sigma = sigma
 
     def verify(self):
-        """Exact check of the contraction identities on the rows of
-        every basis element."""
+        """Exact check, on the rows of every basis element, of the two
+        contraction identities d sigma + sigma d = id and sigma sigma =
+        0.  Given the first, sigma d sigma = sigma - sigma sigma d and
+        sigma sigma = (sigma sigma d) sigma + sigma (sigma sigma d), so
+        sigma d sigma = sigma holds exactly when sigma sigma = 0 does
+        and needs no check of its own."""
         F, sigma = self.complex, self.sigma
         if not is_homotopy(F, sigma, {g: {g: ONE} for g in F.by_id}):
             return False
-        for g in F.by_id:
-            s = apply(sigma, {g: ONE})
-            if apply(sigma, s) or apply(sigma, apply(F.diff, s)) != s:
-                return False
-        return True
+        return not any(apply(sigma, sigma.get(g, {})) for g in F.by_id)
 
 
 def contracting_homotopy(complex_):

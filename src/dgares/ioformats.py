@@ -260,12 +260,19 @@ def complex_to_json(complex_):
 
 def complex_from_json(doc):
     bases = {}
+    degree = {}
     for item in doc["bases"]:
         b = BasisElement(tuple(item["id"]), item["i"], tuple(item["degree"]))
         bases.setdefault(b.hdeg, []).append(b)
+        degree[b.bid] = b.mdeg
     diff = {}
-    for src, tgt, scalar, _ in doc["differential"]:
-        diff.setdefault(tuple(src), {})[tuple(tgt)] = Fraction(scalar)
+    for src, tgt, scalar, exp in doc["differential"]:
+        g, h = tuple(src), tuple(tgt)
+        if g not in degree or h not in degree:
+            raise ParseError(f"unknown basis id {list(h if g in degree else g)}")
+        diff.setdefault(g, {})[h] = Fraction(scalar)
+        if vec_sub(degree[g], degree[h]) != tuple(exp):
+            raise ParseError("exponent vector disagrees with the degrees")
     return FreeComplex(doc["vars"], bases, diff, augmented=doc["augmented"])
 
 

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FreeComplex, apply, is_chain_map, is_homotopy
+from .complexes import FreeComplex, apply, grading_fault, is_chain_map, is_homotopy
 
 ONE = Fraction(1)
 
@@ -186,18 +186,25 @@ class TransferData:
     homotopy: dict
 
     def verify(self):
-        """Exact check, on basis rows, of proj∘incl = id, incl∘proj - id
-        = dH + Hd, and that incl and proj are chain maps."""
-        incl, proj = self.incl, self.proj
-        if any(apply(proj, incl.get(g, {})) != {g: ONE} for g in self.small.by_id):
+        """Exact check, on basis rows, that incl, proj and H (raising hdeg
+        by one) are graded (`grading_fault`), of proj∘incl = id and
+        incl∘proj - id = dH + Hd, and that incl and proj are chain maps."""
+        big, small, incl, proj = self.big, self.small, self.incl, self.proj
+        if (
+            grading_fault(small, big, incl, 0)
+            or grading_fault(big, small, proj, 0)
+            or grading_fault(big, big, self.homotopy, 1)
+        ):
             return False
-        lhs = {g: apply(incl, proj.get(g, {})) for g in self.big.by_id}
+        if any(apply(proj, incl.get(g, {})) != {g: ONE} for g in small.by_id):
+            return False
+        lhs = {g: apply(incl, proj.get(g, {})) for g in big.by_id}
         for g, row in lhs.items():
             row[g] = row.get(g, 0) - ONE
         return (
-            is_homotopy(self.big, self.homotopy, lhs)
-            and is_chain_map(self.small, self.big, incl)
-            and is_chain_map(self.big, self.small, proj)
+            is_homotopy(big, self.homotopy, lhs)
+            and is_chain_map(small, big, incl)
+            and is_chain_map(big, small, proj)
         )
 
 

@@ -4,7 +4,8 @@ The route: ideal_from_cone_complex builds a squarefree monomial ideal
 whose lcm lattice is the face poset of the complex (plus a top when one
 is missing); cone_morse_matching pairs every non-face Taylor basis
 element with its apex partner; verify_morse_matching checks the pairing
-is a valid acyclic matching with degree-equal edges; morse_quotient
+is a valid acyclic matching with degree-equal edges (acyclicity by the
+standard library's graphlib.TopologicalSorter); morse_quotient
 cancels the matching, transfers the Taylor multiplication, and checks
 that the matched span really is a two-sided DG-ideal, so the quotient
 is again a DGA.  The quotient complex is minimal with ranks equal to
@@ -13,6 +14,7 @@ the f-vector of the input complex.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from . import linalg
@@ -161,29 +163,11 @@ def verify_morse_matching(matching, complex_):
         for h in row:
             if (h, g) not in matched:
                 graph[g].append(h)
-    acyclic = True
-    state = {}
-    for start in graph:
-        if state.get(start):
-            continue
-        stack = [(start, iter(graph[start]))]
-        state[start] = "open"
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == "open":
-                    acyclic = False
-                elif nxt not in state:
-                    state[nxt] = "open"
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = "done"
-                stack.pop()
-        if not acyclic:
-            break
+    try:
+        TopologicalSorter(graph).prepare()
+        acyclic = True
+    except CycleError:
+        acyclic = False
 
     return MatchingReport(disjoint, edges, equal_degrees, acyclic)
 

@@ -29,6 +29,7 @@ from .complexes import (
     Element,
     apply_rows,
     canonical_pairs,
+    grading_fault,
     is_chain_map,
     scarf_complex,
     squarefree_part,
@@ -193,7 +194,10 @@ class TaylorMap:
         return apply_rows({bid: self.images[bid].coeffs for bid in f.coeffs}, f, f.hdeg)
 
     def verify_chain_map(self):
+        """Is the map graded (`grading_fault`) and a chain map?"""
         rows = {bid: img.coeffs for bid, img in self.images.items()}
+        if grading_fault(self.taylor, self.target, rows, 0):
+            return False
         return is_chain_map(self.taylor, self.target, rows)
 
     def verify_algebra_map(self):

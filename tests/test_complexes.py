@@ -15,17 +15,19 @@ from dgares.complexes import (
     apply_rows,
     diff_matrix,
     exactness_test_degrees,
-    graded_component,
+    grading_fault,
     homology_dims,
     is_minimal,
     is_resolution,
     lyubeznik,
     scarf_complex,
     squarefree_part,
+    strand,
     taylor_complex,
 )
 from dgares.corpus import (
     cycle_ideal,
+    path_ideal,
     random_monomial_ideal,
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
@@ -33,6 +35,7 @@ from dgares.corpus import (
 )
 from dgares.ideals import MonomialIdeal
 from dgares.lattices import lcm_lattice
+from dgares.minimize import minimal_resolution
 from dgares.simplicial import f_vector
 
 F = Fraction
@@ -129,6 +132,15 @@ def test_free_complex_names_an_unknown_basis_id(diff):
     bases = {0: [BasisElement((), 0, (0, 0))], 1: [BasisElement((0,), 1, (1, 0))]}
     with pytest.raises(ValueError, match=r"unknown basis id \(9,\)"):
         FreeComplex(2, bases, diff)
+
+
+def test_grading_fault_names_the_first_bad_entry():
+    t = taylor_complex(MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1))))
+    assert grading_fault(t, t, t.diff, -1) is None
+    assert grading_fault(t, t, {(0,): {(0, 1): F(1)}}, 1) == "(0,)->(0, 1) violates multigrading"
+    assert grading_fault(t, t, {(0, 1): {(0,): F(1)}}, 0) == "(0, 1)->(0,) does not keep its hdeg"
+    assert grading_fault(t, t, {(0,): {(1,): F(1)}}, 1) == "(0,)->(1,) does not raise hdeg by one"
+    assert "unknown basis id (9,)" in grading_fault(t, t, {(0,): {(9,): F(1)}}, 0)
 
 
 def test_unit_and_apply_diff():
@@ -245,15 +257,27 @@ def test_exactness_test_degrees_cover_the_lattice():
 def test_graded_component_and_homology():
     ideal = MonomialIdeal(3, ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
     t = taylor_complex(ideal)
-    gc = graded_component(t, (2, 1, 1))
-    assert gc.ids[3] == [(0, 1, 2)]
-    assert len(gc.ids[1]) == 3
-    dims = homology_dims(gc)
+    ids = strand(t, (2, 1, 1))
+    assert ids[3] == [(0, 1, 2)]
+    assert len(ids[1]) == 3
+    dims = homology_dims(t, ids)
+    assert dims.keys() == {0, 1, 2, 3}
     assert all(d == 0 for d in dims.values())  # x^a inside the ideal, exact strand
-    gc0 = graded_component(t, (0, 0, 0))
-    assert homology_dims(gc0) == {0: 1}
-    gc1 = graded_component(t, (1, 0, 0))
-    assert homology_dims(gc1) == {0: 1}  # x outside the ideal
+    assert strand(t, (0, 0, 0)) == {0: [()]}
+    assert homology_dims(t, strand(t, (0, 0, 0))) == {0: 1}
+    assert homology_dims(t, strand(t, (1, 0, 0))) == {0: 1}  # x outside the ideal
+
+
+def test_is_resolution_rejects_a_resolution_of_another_ideal():
+    # every strand of a resolution is exact in positive hdeg, so only
+    # the H_0 test tells a resolution of S/J from one of S/I
+    ideal, other = cycle_ideal(6), path_ideal(6)
+    F_other = minimal_resolution(other).complex
+    assert is_resolution(F_other, other)
+    for a in exactness_test_degrees(ideal):
+        dims = homology_dims(F_other, strand(F_other, a))
+        assert all(d == 0 for i, d in dims.items() if i >= 1)
+    assert not is_resolution(F_other, ideal)
 
 
 def test_is_minimal_detects_unit_entries():

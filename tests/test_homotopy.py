@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from dgares.complexes import Element, apply_rows, is_minimal, is_resolution, taylor_complex
+from dgares.complexes import (
+    add_scaled,
+    apply,
+    apply_rows,
+    is_homotopy,
+    is_minimal,
+    is_resolution,
+    taylor_complex,
+)
 from dgares.corpus import (
     cycle_ideal,
     path_ideal,
@@ -70,6 +78,29 @@ def test_contraction_verify_rejects_a_dropped_entry():
         count += 1
         emptied += len(dropped) < len(sigma) or {} in dropped.values()
     assert count > 0 and emptied > 0
+
+
+def test_contraction_verify_rejects_a_nonzero_sigma_square():
+    # sigma' = sigma + dt - td keeps d sigma' + sigma' d = id for any t
+    # raising hdeg by two, but not always sigma' sigma' = 0, the one
+    # identity left for verify to check
+    res = minimal_resolution(cycle_ideal(6)).complex
+    sigma = contracting_homotopy(res).sigma
+    identity = {g: {g: F(1)} for g in res.by_id}
+    for i in sorted(res.bases):
+        for g in res.basis_at(i):
+            for h in res.basis_at(i + 2):
+                t = {g.bid: {h.bid: F(1)}}
+                moved = {}
+                for x in res.by_id:
+                    row = moved[x] = dict(sigma.get(x, {}))
+                    add_scaled(row, 1, apply(res.diff, t.get(x, {})))
+                    add_scaled(row, -1, apply(t, res.diff_of(x)))
+                assert is_homotopy(res, moved, identity)
+                if any(apply(moved, moved[x]) for x in res.by_id):
+                    assert not Homotopy(res, moved).verify()
+                    return
+    pytest.fail("every sigma' squares to zero")
 
 
 def test_contraction_rejects_non_exact_scalar_complexes():

@@ -129,6 +129,16 @@ def test_complex_json_round_trip():
         {b.bid: b.mdeg for bl in T.bases.values() for b in bl}
 
 
+def test_complex_json_checks_the_exponent_column():
+    doc = ioformats.complex_to_json(taylor_complex(cycle_ideal(4)))
+    doc["differential"][0][3] = [9, 9, 9, 9]
+    with pytest.raises(ioformats.ParseError, match="disagrees"):
+        ioformats.complex_from_json(doc)
+    doc["differential"][0][1] = [7]
+    with pytest.raises(ioformats.ParseError, match=r"unknown basis id \[7\]"):
+        ioformats.complex_from_json(doc)
+
+
 def test_multiplication_json_round_trip():
     T = taylor_complex(taylor_equals_scarf_ideal())
     mult = taylor_multiplication(T)

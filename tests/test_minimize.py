@@ -5,9 +5,11 @@ import random
 import pytest
 
 from dgares.complexes import (
+    FreeComplex,
     add_scaled,
     apply,
     apply_rows,
+    grading_fault,
     is_chain_map,
     is_homotopy,
     is_minimal,
@@ -23,7 +25,7 @@ from dgares.corpus import (
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
 )
-from dgares.ideals import MonomialIdeal
+from dgares.ideals import MonomialIdeal, divides
 from dgares.minimize import (
     TransferData,
     _Reduction,
@@ -183,6 +185,86 @@ def test_transfer_verify_rejects_a_projection_that_is_not_a_left_inverse():
     assert is_chain_map(big, small, proj) and is_homotopy(big, homotopy, lhs)
     assert apply(proj, tr.incl[()]) != {(): 1}
     assert not TransferData(big, small, tr.incl, proj, homotopy).verify()
+
+
+def test_transfer_verify_rejects_a_small_complex_with_a_scaled_top_row():
+    # 2·d on one top basis element is a change of basis: the small
+    # complex still resolves S/I, and proj∘incl = id and the homotopy
+    # identity read neither differential of it, so only the chain-map
+    # checks see that incl and proj no longer commute with d
+    ideal = cycle_ideal(6)
+    small, tr = minimize(taylor_complex(ideal))
+    assert tr.verify()
+    top = small.basis_at(small.max_hdeg)[0].bid
+    diff = {g: {h: 2 * c for h, c in row.items()} if g == top else row
+            for g, row in small.diff.items()}
+    scaled = FreeComplex(small.num_vars, small.bases, diff)
+    assert is_resolution(scaled, ideal)
+    assert all(apply(tr.proj, tr.incl.get(g, {})) == {g: 1} for g in scaled.by_id)
+    assert not TransferData(tr.big, scaled, tr.incl, tr.proj, tr.homotopy).verify()
+
+
+def compose(a, b):
+    """The sparse row map a∘b: first b, then a."""
+    return {g: apply(a, row) for g, row in b.items()}
+
+
+def combine(*terms):
+    """The sparse row map sum of c·m over the (c, m) terms."""
+    out = {}
+    for c, m in terms:
+        for g, row in m.items():
+            add_scaled(out.setdefault(g, {}), c, row)
+    return {g: {h: x for h, x in row.items() if x} for g, row in out.items()}
+
+
+def ungraded_transfer(tr, name):
+    """The first transfer (incl, proj, H) that keeps every scalar
+    identity but breaks the grading of the named map.  It adds one
+    ungraded entry k0, from an id g to an id h with mdeg h not dividing
+    mdeg g, one hdeg up (two for H): proj' = proj + dk + kd with k =
+    k0∘(id - incl∘proj) and H' = H + incl∘k; incl' = incl + dk + kd
+    with k = (id - incl∘proj)∘k0 and H' = H + k∘proj; or H' = H + dk0 -
+    k0d."""
+    big, small, incl, proj, H = tr.big, tr.small, tr.incl, tr.proj, tr.homotopy
+    src, tgt, shift = {"incl": (small, big, 0), "proj": (big, small, 0),
+                       "homotopy": (big, big, 1)}[name]
+    for bg in sorted(src.by_id.values(), key=lambda b: (b.hdeg, b.bid)):
+        for bh in tgt.basis_at(bg.hdeg + shift + 1):
+            if divides(bh.mdeg, bg.mdeg):
+                continue
+            k0 = {bg.bid: {bh.bid: 1}}
+            if name == "incl":
+                k = combine((1, k0), (-1, compose(incl, compose(proj, k0))))
+                maps = {"incl": combine((1, incl), (1, compose(big.diff, k)),
+                                        (1, compose(k, small.diff))),
+                        "homotopy": combine((1, H), (1, compose(k, proj)))}
+            elif name == "proj":
+                k = combine((1, k0), (-1, compose(k0, compose(incl, proj))))
+                maps = {"proj": combine((1, proj), (1, compose(small.diff, k)),
+                                        (1, compose(k, big.diff))),
+                        "homotopy": combine((1, H), (1, compose(incl, k)))}
+            else:
+                maps = {"homotopy": combine((1, H), (1, compose(big.diff, k0)),
+                                            (-1, compose(k0, big.diff)))}
+            maps = {"incl": incl, "proj": proj, **maps}
+            if grading_fault(src, tgt, maps[name], shift):
+                return maps
+    pytest.fail(f"no ungraded {name} found")
+
+
+@pytest.mark.parametrize("name", ["incl", "proj", "homotopy"])
+def test_transfer_verify_rejects_an_ungraded_map(name):
+    small, tr = minimize(taylor_complex(cycle_ideal(6)))
+    big = tr.big
+    maps = ungraded_transfer(tr, name)
+    incl, proj, H = maps["incl"], maps["proj"], maps["homotopy"]
+    # every scalar identity still holds: the grading rule alone rejects it
+    assert all(apply(proj, incl.get(g, {})) == {g: 1} for g in small.by_id)
+    lhs = combine((1, compose(incl, proj)), (-1, {g: {g: 1} for g in big.by_id}))
+    assert is_homotopy(big, H, lhs)
+    assert is_chain_map(small, big, incl) and is_chain_map(big, small, proj)
+    assert not TransferData(big, small, incl, proj, H).verify()
 
 
 def test_cancel_pairs_runs_requested_cancellations():

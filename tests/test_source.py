@@ -1,9 +1,12 @@
 """Checks on the source of the dgares package itself."""
 
 import ast
+import importlib.util
 import os
 
 import dgares
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def raises_assertion_error(node):
@@ -29,3 +32,20 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert) or raises_assertion_error(node)
         ]
     assert found == []
+
+
+def test_every_mutant_snippet_occurs_once():
+    # tools/mutants.py switches checks off by exact replacement, so an
+    # edit to a checked line must be carried into its mutant entry
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "tools", "mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    for m in mutants.MUTANTS:
+        with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
+            assert fh.read().count(m.snippet) == 1, m.name
+        assert m.replacement != m.snippet, m.name
+        test_file, _, test_name = m.selection.partition("::")
+        with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
+            assert f"def {test_name}(" in fh.read(), m.name

@@ -7,8 +7,13 @@ from fractions import Fraction
 import pytest
 
 from dgares.complexes import (
+    BasisElement,
     Element,
+    FreeComplex,
+    add_scaled,
     algebraic_scarf,
+    apply,
+    is_chain_map,
     is_minimal,
     is_resolution,
     taylor_complex,
@@ -23,11 +28,12 @@ from dgares.corpus import (
     taylor_equals_scarf_ideal,
 )
 from dgares.homotopy import scaled_dga
-from dgares.ideals import MonomialIdeal, vec_sub
+from dgares.ideals import MonomialIdeal, divides, vec_sub
 from dgares.linalg import rank
 from dgares.minimize import cancel_pairs, minimal_resolution, minimize
 from dgares.morse import cone_morse_matching, ideal_from_cone_complex
 from dgares.multiplication import (
+    Multiplication,
     associator,
     check_dga_axioms,
     is_supportive,
@@ -150,6 +156,26 @@ def test_taylor_algebra_map_full_run():
     assert not broken.verify_chain_map()
 
 
+def test_verify_chain_map_rejects_an_ungraded_image():
+    # phi + dk + kd is a chain map for any k raising hdeg by one; with k
+    # one entry off the grading, only the grading rule rejects it
+    ideal = tagged_four_cycle_ideal()
+    res = algebraic_scarf(ideal)
+    phi = taylor_algebra_map(ideal, leibniz_solution_space(res).particular())
+    T = phi.taylor
+    g = T.basis_at(1)[0]
+    h = next(b for b in res.basis_at(2) if not divides(b.mdeg, g.mdeg))
+    k = {g.bid: {h.bid: F(1)}}
+    images = {}
+    for bid, img in phi.images.items():
+        row = dict(img.coeffs)
+        add_scaled(row, 1, apply(res.diff, k.get(bid, {})))
+        add_scaled(row, 1, apply(k, T.diff_of(bid)))
+        images[bid] = Element(img.hdeg, img.mdeg, row)
+    assert is_chain_map(T, res, {bid: img.coeffs for bid, img in images.items()})
+    assert not TaylorMap(T, phi.taylor_mult, phi.target_mult, images).verify_chain_map()
+
+
 def test_taylor_algebra_map_rejects_bad_inputs():
     with pytest.raises(ValueError, match="squarefree"):
         ideal = taylor_equals_scarf_ideal()
@@ -259,6 +285,21 @@ def test_hilbert_cone_check_needs_a_dga():
     m = transfer_multiplication(taylor_multiplication(t), transfer)
     with pytest.raises(ValueError, match="full DGA"):
         hilbert_cone_check(m)
+
+
+def test_hilbert_cone_check_certifies_the_forced_ranks():
+    # the exterior algebra on two generators over a complex with zero
+    # differential is a DGA, and its ranks (1, 2, 1) are the f-vector of
+    # a cone; only the scalar ranks of d, which miss the ranks (1, 1)
+    # that exactness forces, give it away
+    b = {bid: BasisElement(bid, len(bid), deg)
+         for bid, deg in (((), (0, 0)), ((0,), (1, 0)), ((1,), (0, 1)), ((0, 1), (1, 1)))}
+    cx = FreeComplex(2, {0: [b[()]], 1: [b[(0,)], b[(1,)]], 2: [b[(0, 1)]]}, {})
+    mult = Multiplication(cx, {((0,), (1,)): {(0, 1): F(1)}})
+    assert check_dga_axioms(mult).is_dga
+    report = hilbert_cone_check(mult)
+    assert report.hilbert == (1, 2, 1) and report.cone_base is not None
+    assert not report.decomposition_ok and not report.passed
 
 
 def test_relabel_koszul_pair():
