@@ -7,7 +7,7 @@ Transporting products along lcm lattice isomorphisms
 from dgares.corpus import taylor_equals_scarf_ideal
 from dgares.complexes import is_minimal, is_resolution
 from dgares.ideals import MonomialIdeal, polarize
-from dgares.lattices import lcm_lattice, poset_isomorphic
+from dgares.lattices import atom_isomorphism, atom_sets
 from dgares.multiplication import check_dga_axioms, is_supportive
 from dgares.structure import relabel, supportive_multiplication
 
@@ -16,7 +16,7 @@ from dgares.structure import relabel, supportive_multiplication
 # lattice, so they move along any lattice isomorphism
 src = MonomialIdeal(2, ((1, 0), (0, 1)))
 tgt = MonomialIdeal(2, ((2, 0), (0, 3)))
-iso = poset_isomorphic(lcm_lattice(src).to_poset(), lcm_lattice(tgt).to_poset())
+iso = atom_isomorphism(atom_sets(src), atom_sets(tgt))
 print("lattice isomorphism:", iso)
 
 sm = supportive_multiplication(src)

@@ -1,7 +1,7 @@
 """Multigraded free resolutions of monomial ideals over exact
 rationals, and the multiplicative structures they carry."""
 
-from .betti import BettiTable, betti_poset, betti_table, betti_table_direct, check_subadditivity, t_vector
+from .betti import BettiTable, betti_table, betti_table_direct, check_subadditivity, t_vector
 from .complexes import (
     Element,
     FreeComplex,
@@ -14,7 +14,7 @@ from .complexes import (
 )
 from .homotopy import contracting_homotopy, laurent_dga, scaled_dga
 from .ideals import MonomialIdeal, is_strongly_generic, minimal_generators, polarize, scale_ideal
-from .lattices import lcm_lattice, poset_isomorphic
+from .lattices import atom_isomorphism, atom_sets, lcm_lattice
 from .minimize import minimal_resolution, minimize
 from .morse import cone_morse_matching, ideal_from_cone_complex, morse_quotient, verify_morse_matching
 from .multiplication import (

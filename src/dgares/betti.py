@@ -3,8 +3,7 @@
 from dataclasses import dataclass, field
 
 from .complexes import homology_dims, taylor_complex
-from .ideals import divides, total_degree
-from .lattices import Poset
+from .ideals import total_degree
 from .minimize import minimal_resolution
 
 
@@ -42,15 +41,6 @@ def betti_from_complex(complex_):
 def betti_table(ideal, cap=16):
     """Betti numbers of S/I via minimization of the Taylor complex."""
     return betti_from_complex(minimal_resolution(ideal, cap=cap).complex)
-
-
-def betti_poset(table):
-    """Degrees carrying a nonzero Betti number, ordered by divisibility.
-
-    An isomorphism of these posets is the invariant behind transport of
-    multiplications between ideals with a common lcm lattice shape."""
-    degrees = sorted({a for (_, a) in table.entries})
-    return Poset.from_leq(degrees, divides)
 
 
 def betti_table_direct(ideal, cap=16):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .betti import betti_poset, betti_table, betti_table_direct
+from .betti import betti_table, betti_table_direct
 from .complexes import (
     algebraic_scarf,
     is_minimal,
@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .homotopy import scaled_dga
 from .ideals import is_strongly_generic, scale_ideal, total_degree, vec_sub
-from .lattices import poset_isomorphic
+from .lattices import atom_isomorphism, atom_sets
 from .minimize import minimal_resolution
 from .morse import cone_morse_matching, ideal_from_cone_complex, morse_quotient, verify_morse_matching
 from .multiplication import (
@@ -407,8 +407,8 @@ def _case_68():
                    hc.passed and hc.cone_base == (1, 4, 4, 1),
                    "base %s" % (hc.cone_base,)))
 
-    iso = poset_isomorphic(betti_poset(betti_table(I)),
-                           betti_poset(betti_table(I51)))
+    betti_atoms = [atom_sets(J, {a for _, a in betti_table(J).entries}) for J in (I, I51)]
+    iso = atom_isomorphism(*betti_atoms)
     checks.append(("betti degrees order-isomorphic to the generic model",
                    iso is not None, ""))
     return CaseResult("6.8", checks)

@@ -23,7 +23,7 @@ from .complexes import (
     taylor_complex,
 )
 from .homotopy import laurent_dga, scaled_dga
-from .lattices import lcm_lattice, poset_isomorphic
+from .lattices import atom_isomorphism, atom_sets
 from .minimize import minimal_resolution
 from .multiplication import (
     check_dga_axioms,
@@ -326,8 +326,7 @@ def cmd_dga(args):
 def cmd_relabel(args):
     source = _load_ideal(args)
     target = _load_ideal(args, path=args.target)
-    iso = poset_isomorphic(
-        lcm_lattice(source).to_poset(), lcm_lattice(target).to_poset())
+    iso = atom_isomorphism(atom_sets(source), atom_sets(target))
     if iso is None:
         _print_doc(args, {"isomorphic": False},
                    ["lcm lattices are not isomorphic"])
@@ -447,7 +446,8 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_dga)
 
-    text = "transport a product along an lcm lattice isomorphism (lcm lattices of at most 64 elements)"
+    text = ("transport a product along an lcm lattice isomorphism, found "
+            "as a bijection of the generators")
     p = add_parser("relabel", help=text, description=text)
     p.add_argument("file")
     p.add_argument("--target", required=True)

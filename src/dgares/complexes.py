@@ -45,7 +45,6 @@ class BasisElement:
     bid: tuple
     hdeg: int
     mdeg: tuple
-    label: frozenset = None
 
 
 class Element:
@@ -191,7 +190,7 @@ class FreeComplex:
         """Same ids and scalar differential, new multidegrees."""
         n = self.num_vars if num_vars is None else num_vars
         bases = {
-            i: [BasisElement(b.bid, b.hdeg, mdeg_map(b), b.label) for b in blist]
+            i: [BasisElement(b.bid, b.hdeg, mdeg_map(b)) for b in blist]
             for i, blist in self.bases.items()
         }
         return FreeComplex(n, bases, self.diff, augmented=self.augmented)
@@ -225,7 +224,7 @@ def taylor_complex(ideal, cap=16):
         blist = []
         for w in combinations(range(k), size):
             mdeg = ideal.lcm_of(w)
-            blist.append(BasisElement(w, size, mdeg, frozenset(w)))
+            blist.append(BasisElement(w, size, mdeg))
             if size >= 1:
                 row = {}
                 for pos in range(size):

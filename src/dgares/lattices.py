@@ -1,122 +1,19 @@
-"""lcm lattices, finite posets, and poset isomorphism search."""
+"""lcm lattices, and isomorphisms of degree sets read off their atoms.
+
+An lcm lattice is atomistic and its atoms are the generators.  For a
+degree a of the lattice let atoms(a) = {i : g_i divides a}; then
+a = lcm(atoms(a)), so a divides b exactly when atoms(a) is a subset of
+atoms(b).  A degree set that holds every generator (the whole lattice,
+or the degrees of the Betti numbers of S/I) is therefore isomorphic to
+its family of atom sets ordered by inclusion, and every isomorphism
+sends atoms to atoms.  So two such sets are isomorphic exactly when a
+bijection of generator indices maps one family onto the other; that
+bijection is all `atom_isomorphism` searches for.
+"""
 
 from dataclasses import dataclass
 
 from .ideals import join, divides, zero_degree, total_degree
-
-
-class CapExceeded(ValueError):
-    """A structure exceeded a configured size cap."""
-
-
-@dataclass(frozen=True)
-class Poset:
-    """A finite poset on hashable elements with a precomputed order matrix.
-
-    `up[i]` is the frozenset of indices j with elements[i] <= elements[j]
-    (reflexive).
-    """
-
-    elements: tuple
-    up: tuple
-
-    @staticmethod
-    def from_leq(elements, leq):
-        elems = tuple(elements)
-        ups = []
-        for i, x in enumerate(elems):
-            ups.append(frozenset(j for j, y in enumerate(elems) if leq(x, y)))
-        return Poset(elems, tuple(ups))
-
-    @property
-    def n(self):
-        return len(self.elements)
-
-    def index(self, x):
-        return self.elements.index(x)
-
-    def le(self, x, y):
-        return self.index(y) in self.up[self.index(x)]
-
-    def le_idx(self, i, j):
-        return j in self.up[i]
-
-    def down(self, i):
-        return frozenset(j for j in range(self.n) if i in self.up[j])
-
-
-def _refine_colors(poset):
-    # Weisfeiler-Leman style color refinement on the comparability structure.
-    n = poset.n
-    colors = [(len(poset.up[i]), len(poset.down(i))) for i in range(n)]
-    while True:
-        sigs = []
-        for i in range(n):
-            above = sorted(colors[j] for j in poset.up[i] if j != i)
-            below = sorted(colors[j] for j in poset.down(i) if j != i)
-            sigs.append((colors[i], tuple(above), tuple(below)))
-        # canonicalize to small ints; ids must come from the sorted
-        # signatures, not encounter order, so that two isomorphic posets
-        # refine to the same ids regardless of element order
-        table = {s: rank for rank, s in enumerate(sorted(set(sigs)))}
-        new = [table[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-def poset_isomorphic(p, q, cap=64):
-    """Search for an order isomorphism p -> q.
-
-    Returns the isomorphism as a dict {element of p -> element of q}, or
-    None.  Raises CapExceeded when either side has more than `cap`
-    elements (the backtracking is only tuned for small lattice-like
-    posets).
-    """
-    if p.n > cap or q.n > cap:
-        raise CapExceeded(f"poset size {max(p.n, q.n)} exceeds cap {cap}")
-    if p.n != q.n:
-        return None
-    cp = _refine_colors(p)
-    cq = _refine_colors(q)
-    if sorted(cp) != sorted(cq):
-        return None
-    by_color_q = {}
-    for j, c in enumerate(cq):
-        by_color_q.setdefault(c, []).append(j)
-    # handle rarest color classes first
-    order = sorted(range(p.n), key=lambda i: (len(by_color_q.get(cp[i], ())), cp[i], i))
-    mapping = [None] * p.n
-    used = [False] * q.n
-
-    def consistent(i, j):
-        for a, b in enumerate(mapping):
-            if b is None:
-                continue
-            if p.le_idx(i, a) != q.le_idx(j, b):
-                return False
-            if p.le_idx(a, i) != q.le_idx(b, j):
-                return False
-        return True
-
-    def backtrack(pos):
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in by_color_q.get(cp[i], ()):
-            if used[j] or not consistent(i, j):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(pos + 1):
-                return True
-            mapping[i] = None
-            used[j] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    return {p.elements[i]: q.elements[mapping[i]] for i in range(p.n)}
 
 
 @dataclass(frozen=True)
@@ -124,24 +21,11 @@ class LcmLattice:
     """All lcms of generator subsets, ordered by divisibility.
 
     elements are sorted by (total degree, lex); the bottom (empty join,
-    the zero vector) is always present.  atoms maps each generator index
-    to the position of its multidegree in elements.
+    the zero vector) is always present.
     """
 
     ideal: object
     elements: tuple
-    atoms: tuple
-
-    @property
-    def bottom(self):
-        return zero_degree(self.ideal.num_vars)
-
-    @property
-    def top(self):
-        return self.elements[-1]
-
-    def to_poset(self):
-        return Poset.from_leq(self.elements, divides)
 
 
 def lcm_lattice(ideal):
@@ -149,6 +33,73 @@ def lcm_lattice(ideal):
     for g in ideal.generators:
         seen |= {join(e, g) for e in seen}
     elements = tuple(sorted(seen, key=lambda d: (total_degree(d), d)))
-    atoms = tuple(elements.index(g) for g in ideal.generators)
-    return LcmLattice(ideal, elements, atoms)
+    return LcmLattice(ideal, elements)
 
+
+def atom_sets(ideal, degrees=None):
+    """{degree: frozenset of the indices i with generator i dividing it},
+    over `degrees` (default: the lcm lattice of the ideal)."""
+    if degrees is None:
+        degrees = lcm_lattice(ideal).elements
+    gens = ideal.generators
+    return {a: frozenset(i for i, g in enumerate(gens) if divides(g, a)) for a in degrees}
+
+
+def _generator_count(family):
+    k = len(frozenset().union(*family))
+    if not all(frozenset((i,)) in family for i in range(k)):
+        raise ValueError("the degree set must hold every generator")
+    return k
+
+
+def _invariants(family, k):
+    """Per generator, the sorted sizes of the sets holding it; per pair
+    of generators, the size of the smallest set holding both (0: none)."""
+    signature = [sorted(len(s) for s in family if i in s) for i in range(k)]
+    near = [[0] * k for _ in range(k)]
+    for s in sorted(family, key=len):
+        for i in s:
+            for j in s:
+                if not near[i][j]:
+                    near[i][j] = len(s)
+    return signature, near
+
+
+def atom_isomorphism(p, q):
+    """An order isomorphism between two degree sets given by their atom
+    sets (see `atom_sets`), as {degree of p: degree of q}, or None.
+
+    Each side must hold every one of its generators, {i} for i < k.
+    Source generators are assigned in index order, and target generators
+    are tried in index order, so the identity wins when it works.  A
+    candidate is skipped when its signature or the smallest set holding
+    it with an assigned generator differs from the source's; a bijection
+    counts only when it maps the whole family of p onto that of q.
+    """
+    fp, fq = set(p.values()), set(q.values())
+    k, kq = _generator_count(fp), _generator_count(fq)
+    if len(fp) != len(fq) or k != kq:
+        return None
+    sig_p, near_p = _invariants(fp, k)
+    sig_q, near_q = _invariants(fq, k)
+    sigma = []
+
+    def extend():
+        i = len(sigma)
+        if i == k:
+            return {frozenset(sigma[a] for a in s) for s in fp} == fq
+        for j in range(k):
+            if j in sigma or sig_q[j] != sig_p[i]:
+                continue
+            if any(near_q[j][b] != near_p[i][a] for a, b in enumerate(sigma)):
+                continue
+            sigma.append(j)
+            if extend():
+                return True
+            sigma.pop()
+        return False
+
+    if not extend():
+        return None
+    by_set = {s: b for b, s in q.items()}
+    return {a: by_set[frozenset(sigma[i] for i in s)] for a, s in p.items()}

@@ -2,13 +2,13 @@
 
 The route: ideal_from_cone_complex builds a squarefree monomial ideal
 whose lcm lattice is the face poset of the complex (plus a top when one
-is missing); cone_morse_matching pairs every non-face Taylor basis
-element with its apex partner; verify_morse_matching checks the pairing
-is a valid acyclic matching with degree-equal edges (acyclicity by the
-standard library's graphlib.TopologicalSorter); morse_quotient
-cancels the matching, transfers the Taylor multiplication, and checks
-that the matched span really is a two-sided DG-ideal, so the quotient
-is again a DGA.  The quotient complex is minimal with ranks equal to
+is missing), checked on the lattice's atom sets; cone_morse_matching
+pairs every non-face Taylor basis element with its apex partner;
+verify_morse_matching checks the pairing is a valid acyclic matching
+with degree-equal edges (acyclicity by the standard library's
+graphlib.TopologicalSorter); morse_quotient cancels the matching,
+transfers the Taylor multiplication, and checks that the matched span
+really is a two-sided DG-ideal, so the quotient is again a DGA.  The quotient complex is minimal with ranks equal to
 the f-vector of the input complex.
 """
 
@@ -20,46 +20,26 @@ from itertools import combinations
 from . import linalg
 from .complexes import strand_ids
 from .ideals import MonomialIdeal, divides
-from .lattices import Poset, lcm_lattice, poset_isomorphic
+from .lattices import atom_sets
 from .minimize import cancel_pairs
 from .multiplication import transfer_multiplication
 
 ONE = Fraction(1)
 
-# sentinel for the adjoined maximum of the expected lattice
-TOP = "top"
-
-
-def expected_cone_lattice(delta):
-    """Face poset of the complex (empty face included), with an extra
-    maximum adjoined unless the complex is the full simplex (whose face
-    poset already has one; a second would break atomicity)."""
-    elements = sorted(
-        (tuple(sorted(f)) for f in delta.faces), key=lambda f: (len(f), f)
-    )
-    if not delta.is_full_simplex():
-        elements.append(TOP)
-
-    def leq(a, b):
-        if b == TOP:
-            return True
-        if a == TOP:
-            return False
-        return set(a) <= set(b)
-
-    return Poset.from_leq(tuple(elements), leq)
-
 
 def ideal_from_cone_complex(delta):
     """Squarefree monomial ideal whose lcm lattice is the face poset of
-    delta plus a top element.
+    delta plus a top element (the set of all vertices, already a face
+    when delta is the full simplex).
 
     One variable per nonempty face; the generator for vertex j is the
     product of the variables at faces not containing j.  Then a subset
     W of vertices has lcm = product over faces p with W not a subset of
     p, so faces embed into the lcm lattice and every non-face hits the
-    top.  The isomorphism with the expected poset is verified before
-    returning; generator order equals vertex order.
+    top.  Generator order equals vertex order, so the isomorphism is
+    known: the atom sets of the lattice (the generators dividing each
+    element) must be exactly the faces and the set of all vertices, and
+    that is checked before returning.
     """
     k = delta.num_vertices
     if k < 1:
@@ -79,8 +59,7 @@ def ideal_from_cone_complex(delta):
         for j in range(k):
             gens.append(tuple(0 if j in p else 1 for p in face_vars))
         ideal = MonomialIdeal(len(face_vars), tuple(gens))
-    iso = poset_isomorphic(expected_cone_lattice(delta), lcm_lattice(ideal).to_poset())
-    if iso is None:
+    if set(atom_sets(ideal).values()) != delta.faces | {frozenset(range(k))}:
         raise ValueError("lcm lattice does not match the face poset")
     return ideal
 

@@ -13,7 +13,6 @@ from test_simplicial import candidate_box, exhaustive_fvectors, trim
 
 from dgares.betti import (
     betti_from_complex,
-    betti_poset,
     betti_table,
     betti_table_direct,
     check_subadditivity,
@@ -41,7 +40,7 @@ from dgares.corpus import (
 )
 from dgares.homotopy import scaled_dga
 from dgares.ideals import is_strongly_generic, total_degree
-from dgares.lattices import poset_isomorphic
+from dgares.lattices import atom_isomorphism, atom_sets
 from dgares.minimize import minimal_resolution, minimize
 from dgares.morse import (
     cone_morse_matching,
@@ -389,9 +388,9 @@ def test_criterion_12_supportive_products():
                 and check_dga_axioms(sm.multiplication, associativity=False).is_multiplication
                 and sup):
             problems.append("%s: transported product fails" % (ideal.generators,))
-    iso = poset_isomorphic(betti_poset(betti_table(cone_lattice_ideal())),
-                           betti_poset(betti_table(strongly_generic_ideal())))
-    if iso is None:
+    betti_atoms = [atom_sets(J, {a for _, a in betti_table(J).entries})
+                   for J in (cone_lattice_ideal(), strongly_generic_ideal())]
+    if atom_isomorphism(*betti_atoms) is None:
         problems.append("betti posets of the cone ideal and its model differ")
     finish(12, "supportive products on %d squarefree members, transport "
            "through the squarefree copy on %d others"

@@ -1,10 +1,14 @@
 """Text and JSON formats, and the command line surface."""
 
 import json
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
+
+from test_lattices import shuffled
 
 from dgares import ioformats
 from dgares.betti import betti_table
@@ -127,6 +131,12 @@ def test_complex_json_round_trip():
     assert back.ranks() == T.ranks()
     assert {b.bid: b.mdeg for bl in back.bases.values() for b in bl} == \
         {b.bid: b.mdeg for bl in T.bases.values() for b in bl}
+
+
+def test_complex_json_round_trip_keeps_the_bases():
+    complex_ = minimize(taylor_complex(cycle_ideal(6)))[0]
+    back = ioformats.complex_from_json(ioformats.complex_to_json(complex_))
+    assert back.bases == complex_.bases
 
 
 def test_complex_json_checks_the_exponent_column():
@@ -324,6 +334,28 @@ def test_cli_construct(capsys, tmp_path):
     assert built.k == 4 and built.num_vars == 11
 
 
+def test_cli_construct_on_the_seven_vertex_boundary_cone(capsys, tmp_path):
+    # the cone over the boundary of a 5-simplex: 126 faces, 7 vertices
+    path = tmp_path / "cone.complex"
+    path.write_text("".join(" ".join(str(v) for v in face) + " 7\n"
+                            for face in combinations(range(1, 7), 5)))
+    code, out, _ = run_cli(capsys, "--json", "construct", "from-complex", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["f_vector"] == [1, 7, 21, 35, 35, 21, 6]
+    assert doc["ideal"]["vars"] == 125 and len(doc["ideal"]["generators"]) == 7
+
+
+def test_cli_relabel_onto_a_shuffled_cycle(capsys, tmp_path):
+    src = tmp_path / "c10.ideal"
+    src.write_text(ioformats.format_ideal(cycle_ideal(10)))
+    tgt = tmp_path / "shuffled.ideal"
+    tgt.write_text(ioformats.format_ideal(shuffled(cycle_ideal(10), random.Random(0))))
+    code, out, _ = run_cli(capsys, "relabel", str(src), "--target", str(tgt))
+    assert code == 0
+    assert "verified resolution of the target: yes" in out
+
+
 def test_cli_examples(capsys):
     code, out, _ = run_cli(capsys, "examples", "run", "4.3")
     assert code == 0
@@ -346,17 +378,16 @@ def test_cli_error_exit_codes(capsys, tmp_path, cycle_file):
     code, _, err = run_cli(capsys, "betti", cycle_file, "--max-gens", "2")
     assert code == 1
     assert "over the --max-gens limit" in err
-    # posets past the isomorphism search cap are refused, not a traceback
+    # lattices past 64 elements (66 and 90 here) have no size cap
     big = tmp_path / "big.complex"
     big.write_text("1 2 3 4 5 6\n7\n")
     code, _, err = run_cli(capsys, "construct", "from-complex", str(big))
-    assert code == 1
-    assert err == "error: poset size 66 exceeds cap 64\n"
+    assert code == 0 and err == ""
     c8 = tmp_path / "c8.ideal"
     c8.write_text(ioformats.format_ideal(cycle_ideal(8)))
-    code, _, err = run_cli(capsys, "relabel", str(c8), "--target", str(c8))
-    assert code == 1
-    assert err == "error: poset size 90 exceeds cap 64\n"
+    code, out, err = run_cli(capsys, "relabel", str(c8), "--target", str(c8))
+    assert code == 0 and err == ""
+    assert "verified resolution of the target: yes" in out
 
 
 def test_cli_module_entry_point():

@@ -3,18 +3,18 @@ Morse quotient DGA."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from dgares.complexes import is_minimal, is_resolution, taylor_complex
 from dgares.corpus import cycle_ideal, random_cone_complex
 from dgares.ideals import MonomialIdeal
-from dgares.lattices import lcm_lattice, poset_isomorphic
+from dgares import morse
+from dgares.lattices import atom_sets
 from dgares.morse import (
-    TOP,
     cone_morse_matching,
     dga_ideal_check,
-    expected_cone_lattice,
     ideal_from_cone_complex,
     in_matched_span,
     morse_quotient,
@@ -32,17 +32,21 @@ def path3_cone():
     return cone(base)
 
 
-def test_expected_cone_lattice_adjoins_a_top():
-    delta = path3_cone()
-    poset = expected_cone_lattice(delta)
-    # 12 faces (including the empty face) plus one formal top
-    assert len(poset.elements) == 13
-    assert TOP in poset.elements
-    assert all(poset.le(f, TOP) for f in poset.elements)
-    full = SimplicialComplex.from_faces(2, [(0, 1)])
-    poset_full = expected_cone_lattice(full)
-    assert TOP not in poset_full.elements
-    assert len(poset_full.elements) == 4
+def test_cone_ideal_atom_sets_are_the_faces_and_all_vertices():
+    # vertex j is generator j, so the lattice elements' atom sets are
+    # the 12 faces (the empty face included) and the set of all vertices
+    sets = atom_sets(ideal_from_cone_complex(path3_cone()))
+    assert len(sets) == 13
+    assert set(sets.values()) == path3_cone().faces | {frozenset(range(4))}
+    # the full simplex already holds the set of all vertices
+    full = SimplicialComplex.from_faces(3, [(0, 1, 2)])
+    assert set(atom_sets(ideal_from_cone_complex(full)).values()) == full.faces
+    # the cone over the boundary of a 5-simplex: 126 faces and a top
+    boundary = SimplicialComplex.from_faces(6, combinations(range(6), 5))
+    delta = cone(boundary)
+    ideal = ideal_from_cone_complex(delta)
+    assert (ideal.k, ideal.num_vars) == (7, 125)
+    assert set(atom_sets(ideal).values()) == delta.faces | {frozenset(range(7))}
 
 
 def test_ideal_from_cone_complex_structure():
@@ -57,8 +61,7 @@ def test_ideal_from_cone_complex_structure():
         assert set(gen) <= {0, 1}
         for p, face in enumerate(faces):
             assert gen[p] == (0 if j in face else 1)
-    lat = lcm_lattice(ideal)
-    assert poset_isomorphic(lat.to_poset(), expected_cone_lattice(delta)) is not None
+    assert set(atom_sets(ideal).values()) == delta.faces | {frozenset(range(4))}
 
 
 def test_ideal_from_cone_complex_small_cases():
@@ -76,6 +79,17 @@ def test_ideal_from_cone_complex_rejects_bad_input():
     missing = SimplicialComplex.from_faces(3, [(0,), (1,)])
     with pytest.raises(ValueError, match="vertex 2"):
         ideal_from_cone_complex(missing)
+
+
+def test_ideal_from_cone_complex_checks_its_lattice(monkeypatch):
+    # generators 0 and 1 swapped: the edge {1, 2} of the path would turn
+    # into {0, 2}, which is no face, and the check must say so
+    def swapped(num_vars, gens):
+        return MonomialIdeal(num_vars, (gens[1], gens[0]) + gens[2:])
+
+    monkeypatch.setattr(morse, "MonomialIdeal", swapped)
+    with pytest.raises(ValueError, match="does not match the face poset"):
+        ideal_from_cone_complex(path3_cone())
 
 
 def test_cone_matching_on_the_path_cone():

@@ -6,7 +6,11 @@ Runs the command line of the checkout (default: the one holding this
 script) on the catalog ideals and ten seeded random ideals:
 `--json dga {transfer,solve,laurent,scale,supportive}` and
 `--json resolve --show-transfer` on each, and `--json dga verify` on
-those with at most five generators.  It also runs `examples run all`
+those with at most five generators.  It runs `--json relabel` of each
+catalog ideal onto a copy with its variables reversed, and
+`--json construct from-complex` on three cones (the cone over the
+boundary of a 5-simplex among them), so the chosen lattice isomorphism
+and the built ideal are pinned.  It also runs `examples run all`
 (text and --json) and every script in demos/.  Each output file holds
 the command's stdout, the last line of its stderr and its exit code,
 so that the outputs of two checkouts compare with one command:
@@ -34,6 +38,15 @@ import sys
 DGA_MODES = ("transfer", "solve", "laurent", "scale", "supportive")
 RANDOM_SEEDS = range(10)
 VERIFY_MAX_GENS = 5
+
+# Facets, one per line, vertices numbered from 1; the apex is the
+# largest vertex.
+CONES = {
+    "path-cone": "1 2 4\n2 3 4\n",
+    "triangle-cone": "1 2 4\n1 3 4\n2 3 4\n",
+    "boundary-cone": "".join(
+        " ".join(str(v) for v in range(1, 7) if v != skip) + " 7\n" for skip in range(1, 7)),
+}
 
 _CATALOG = """
 from dgares.corpus import catalog_ideals
@@ -154,6 +167,16 @@ def random_ideal_text(seed):
         "[%s]\n" % ", ".join(str(e) for e in g) for g in sorted(mons))
 
 
+def reversed_variables(text):
+    """The bracket-form ideal text with each exponent vector reversed."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("["):
+            line = "[%s]" % ", ".join(reversed(line[1:-1].split(", ")))
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
 def run(root, argv, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run(
@@ -213,6 +236,19 @@ def main(argv=None):
             os.path.join(out, "%s.resolve.json" % name))
         if args.library:
             run(root, ["-c", _LIBRARY, path], os.path.join(out, "%s.library.txt" % name))
+        if name.startswith("catalog-"):
+            target = os.path.join(inputs, name + "-reversed.txt")
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(reversed_variables(text))
+            run(root, ["-m", "dgares", "--json", "relabel", path, "--target", target],
+                os.path.join(out, "%s.relabel.json" % name))
+
+    for name, text in CONES.items():
+        path = os.path.join(inputs, name + ".complex")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        run(root, ["-m", "dgares", "--json", "construct", "from-complex", path],
+            os.path.join(out, "%s.construct.json" % name))
 
     run(root, ["-m", "dgares", "examples", "run", "all"],
         os.path.join(out, "examples.txt"))

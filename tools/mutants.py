@@ -93,6 +93,21 @@ MUTANTS = [
         "    except CycleError:\n        acyclic = True\n",
         "tests/test_morse.py::test_verify_morse_matching_flags",
     ),
+    Mutant(
+        "atom_isomorphism takes any bijection its pruning allows",
+        "src/dgares/lattices.py",
+        "            return {frozenset(sigma[a] for a in s) for s in fp} == fq\n",
+        "            return True\n",
+        "tests/test_lattices.py::test_search_checks_the_whole_family",
+    ),
+    Mutant(
+        "ideal_from_cone_complex without its atom-set check",
+        "src/dgares/morse.py",
+        "    if set(atom_sets(ideal).values()) != delta.faces | {frozenset(range(k))}:\n"
+        '        raise ValueError("lcm lattice does not match the face poset")\n',
+        "",
+        "tests/test_morse.py::test_ideal_from_cone_complex_checks_its_lattice",
+    ),
 ]
 
 
