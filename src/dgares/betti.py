@@ -43,7 +43,7 @@ def betti_table(ideal, cap=16):
     return betti_from_complex(minimal_resolution(ideal, cap=cap).complex)
 
 
-def betti_table_direct(ideal, cap=16):
+def betti_table_direct(ideal):
     """Betti numbers computed without minimization, as an independent route.
 
     Tensoring the Taylor resolution with k kills every differential
@@ -51,7 +51,7 @@ def betti_table_direct(ideal, cap=16):
     homology of the subcomplex spanned by basis elements of multidegree
     exactly a, with only the equal-degree scalar entries.
     """
-    t = taylor_complex(ideal, cap=cap)
+    t = taylor_complex(ideal)
     by_degree = {}
     for i, blist in t.bases.items():
         for b in blist:

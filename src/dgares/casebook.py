@@ -87,7 +87,9 @@ class CaseResult:
 def _table_realizable(space, ref):
     """Does any sign pattern carry some member of the space onto the
     reference table?  Exhaustive over per-basis signs; each pattern
-    leaves a linear system for the parameters."""
+    leaves a linear system for the parameters.  The conditions are
+    bilinear in the signs and the parameters, so the GF(2) elimination
+    of gauge_equivalent does not apply."""
     F = space.complex
     ids = F.positive_ids()
     pairs = canonical_pairs(F)

@@ -201,13 +201,6 @@ def parse_complex_file(path):
         return parse_complex_text(fh.read())
 
 
-def format_complex(delta):
-    lines = []
-    for face in sorted(delta.facets(), key=lambda f: (len(f), sorted(f))):
-        lines.append(" ".join(str(v + 1) for v in sorted(face)))
-    return "\n".join(lines) + "\n"
-
-
 # --- JSON blocks ------------------------------------------------------
 
 

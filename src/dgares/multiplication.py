@@ -16,7 +16,7 @@ checked in one place, table_faults, when the Multiplication is built.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .complexes import Element, add_scaled, apply, canonical_pairs
 from .ideals import divides, join, vec_add
@@ -342,33 +342,38 @@ def is_supportive(mult, max_witnesses=10):
     return not witnesses, witnesses
 
 
-def gauge_equivalent(mult, table, cap=12):
+def gauge_equivalent(mult, table):
     """Per-basis sign pattern carrying the multiplication onto a
     reference scalar table, or None when no pattern works.
 
     Rescaling g_w to eps_w g_w with eps_w in {1, -1} turns the entry at
     (u, v, w) into eps_u eps_v eps_w times the old one, so two tables
     related this way present the same multiplication on renamed bases.
-    The search is exhaustive over all sign patterns."""
+    With eps_w = (-1)^x_w, a cell nonzero on either side needs equal
+    magnitudes and gives x_u + x_v + x_w = [ours = -ref] over GF(2).
+    Elimination pivots each row on its latest id and free ids get +1, so
+    the pattern is the lexicographically first (+ before -, the first id
+    varying slowest): the one an exhaustive search meets first."""
     ids = mult.complex.positive_ids()
-    if len(ids) > cap:
-        raise ValueError(
-            f"gauge search is exponential in the basis size: {len(ids)} ids exceed the cap of {cap}")
-    pairs = sorted(set(mult.table) | set(table))
-    zero = Fraction(0)
-    for signs in iproduct((ONE, -ONE), repeat=len(ids)):
-        eps = dict(zip(ids, signs))
-        ok = True
-        for u, v in pairs:
-            factor = eps[u] * eps[v]
-            ours = mult.table.get((u, v), {})
-            ref = table.get((u, v), {})
-            for w in set(ours) | set(ref):
-                if factor * eps[w] * ours.get(w, zero) != ref.get(w, zero):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return eps
-    return None
+    bit = {w: 2 << n for n, w in enumerate(ids)}  # bit 0: the right-hand side
+    rows = {}  # bit length of the pivot -> row
+    for u, v in set(mult.table) | set(table):
+        ours, ref = mult.table.get((u, v), {}), table.get((u, v), {})
+        for w in set(ours) | set(ref):
+            a, b = ours.get(w, 0), ref.get(w, 0)
+            if abs(a) != abs(b):
+                return None
+            if not a:
+                continue
+            row = bit[u] ^ bit[v] ^ bit[w] ^ (a != b)
+            while row.bit_length() in rows:
+                row ^= rows[row.bit_length()]
+            if row > 1:
+                rows[row.bit_length()] = row
+            elif row:
+                return None
+    x = 1
+    for top in sorted(rows):
+        if (rows[top] & x).bit_count() % 2:
+            x |= 1 << (top - 1)
+    return {w: -ONE if x & bit[w] else ONE for w in ids}

@@ -53,10 +53,6 @@ class SimplicialComplex:
                 out.append(f)
         return sorted(out, key=lambda f: (len(f), sorted(f)))
 
-    def is_full_simplex(self):
-        verts = self.vertices()
-        return bool(verts) and frozenset(verts) in self.faces
-
 
 def f_vector(complex_):
     """(f_0, f_1, ...) with f_i = number of faces of cardinality i."""

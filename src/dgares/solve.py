@@ -207,8 +207,8 @@ def forced_products(complex_):
     return ForcedProducts(complex_, table)
 
 
-def associativity_scan(space, samples=20, rng=None, bound=5):
-    """Sample the space and test associativity on basis triples.
+def associativity_scan(space, samples=20, rng=None):
+    """Test associativity at integer parameter points of [-5, 5]^dim.
 
     Returns [(values, witness)] where witness is None for associative
     members and a triple (u, v, w) otherwise."""
@@ -216,7 +216,7 @@ def associativity_scan(space, samples=20, rng=None, bound=5):
         rng = random.Random(0)
     results = []
     for _ in range(samples):
-        values = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(space.dim))
+        values = tuple(Fraction(rng.randint(-5, 5)) for _ in range(space.dim))
         witness = next((triple[:3] for triple in associators(space.at(values))), None)
         results.append((values, witness))
     return results

@@ -248,7 +248,7 @@ class TaylorMap:
         ]
 
 
-def taylor_algebra_map(ideal, mult, cap=16):
+def taylor_algebra_map(ideal, mult):
     """Build the Taylor-algebra surjection onto an associative DGA
     structure on a minimal resolution of a squarefree ideal.
 
@@ -261,7 +261,7 @@ def taylor_algebra_map(ideal, mult, cap=16):
     report = check_dga_axioms(mult)
     if not report.is_dga:
         raise ValueError(f"needs a full DGA structure: {report.summary()}")
-    T = taylor_complex(ideal, cap=cap)
+    T = taylor_complex(ideal)
     MT = taylor_multiplication(T)
     F = mult.complex
     images = {(): F.unit()}
@@ -346,13 +346,13 @@ _OBSTRUCTION_COMBINATION = Element(
 )
 
 
-def avramov_obstruction(ideal, cap=16):
+def avramov_obstruction(ideal):
     """Run the no-DGA-structure certificate for the 5-generator path
     edge ideal; raises ValueError on any other ideal."""
     expected = MonomialIdeal(6, PATH_SIX_GENERATORS)
     if (ideal.num_vars, ideal.generators) != (expected.num_vars, expected.generators):
         raise ValueError("the obstruction is specific to the path ideal x1x2, ..., x5x6")
-    T = taylor_complex(ideal, cap=cap)
+    T = taylor_complex(ideal)
     MT = taylor_multiplication(T)
     table = betti_table(ideal)
 

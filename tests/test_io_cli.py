@@ -100,9 +100,13 @@ def test_parse_complex_error_positions(text, line, column, fragment):
     assert fragment in err.value.message
 
 
-def test_format_complex_round_trip():
+def test_parse_complex_text_reads_facets():
+    # vertices are 1-indexed, spaces or commas separate them, and the
+    # family is closed downward
+    text = "# two triangles on a common edge\n1 2 4\n\n2,3, 4\n"
     delta = SimplicialComplex.from_faces(4, [(0, 1, 3), (1, 2, 3)])
-    assert ioformats.parse_complex_text(ioformats.format_complex(delta)) == delta
+    assert ioformats.parse_complex_text(text) == delta
+    assert ioformats.parse_complex_text("3\n1 2\n") == SimplicialComplex.from_faces(3, [(0, 1), (2,)])
 
 
 # --- JSON blocks ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Products on resolutions: Taylor shuffle, transfer, axiom checks."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -219,13 +220,127 @@ def test_gauge_equivalent_rejects_impossible_tables():
     ref = {p: dict(r) for p, r in m.table.items()}
     ref[((0,), (1,))] = {(0, 1): F(2)}  # wrong magnitude, no sign fixes it
     assert gauge_equivalent(m, ref) is None
+    # one entry alone: either sign on it is realizable, but neither a
+    # doubled entry nor a missing one is
+    m = taylor_multiplication(taylor_complex(path_ideal(3)))
+    assert m.table == {((0,), (1,)): {(0, 1): F(1)}}
+    assert gauge_equivalent(m, {((0,), (1,)): {(0, 1): F(-1)}}) is not None
+    assert gauge_equivalent(m, {((0,), (1,)): {(0, 1): F(2)}}) is None
+    assert gauge_equivalent(m, {}) is None
 
 
-def test_gauge_equivalent_cap():
-    ideal = cycle_ideal(6)
-    m = taylor_multiplication(taylor_complex(ideal))
-    with pytest.raises(ValueError, match="exponential"):
-        gauge_equivalent(m, {})
+def test_gauge_equivalent_rejects_a_negated_entry():
+    # the cells (0)(1) -> (0,1), (0,1)(2) -> (0,1,2), (0)(2) -> (0,2) and
+    # (0,2)(1) -> (0,1,2) hold every id an even number of times, so the
+    # product of their four gauge factors is 1: negate one and no
+    # pattern realizes the table
+    m = taylor_multiplication(taylor_complex(taylor_equals_scarf_ideal()))
+    ref = {p: dict(r) for p, r in m.table.items()}
+    ref[((0,), (1,))] = {(0, 1): F(-1)}
+    assert _exhaustive_gauge(m, ref) is None
+    assert gauge_equivalent(m, ref) is None
+
+
+def _exhaustive_gauge(mult, table):
+    """The search gauge_equivalent ran before elimination, kept as the
+    reference: every sign pattern in turn, + before -, the first id
+    varying slowest."""
+    ids = mult.complex.positive_ids()
+    pairs = sorted(set(mult.table) | set(table))
+    zero = F(0)
+    for signs in itertools.product((F(1), F(-1)), repeat=len(ids)):
+        eps = dict(zip(ids, signs))
+        ok = True
+        for u, v in pairs:
+            factor = eps[u] * eps[v]
+            ours = mult.table.get((u, v), {})
+            ref = table.get((u, v), {})
+            for w in set(ours) | set(ref):
+                if factor * eps[w] * ours.get(w, zero) != ref.get(w, zero):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return eps
+    return None
+
+
+def _twisted(table, eps):
+    return {(u, v): {w: eps[u] * eps[v] * eps[w] * c for w, c in row.items()}
+            for (u, v), row in table.items()}
+
+
+def _gauge_references(mult, rng):
+    """(kind, table): the table itself, a seeded sign twist of it, and
+    copies of the twist with one seeded entry scaled by 2, dropped or
+    added, and with each entry in turn negated."""
+    ids = mult.complex.positive_ids()
+    twist = _twisted(mult.table, {w: rng.choice((F(1), F(-1))) for w in ids})
+    yield "same", mult.table
+    yield "twisted", twist
+    entries = [(p, w) for p in sorted(twist) for w in sorted(twist[p])]
+    for kind in ("scaled", "dropped", "negated", "added"):
+        changes = entries if kind == "negated" else [rng.choice(entries)] if entries else []
+        for p, w in changes:
+            ref = {q: dict(r) for q, r in twist.items()}
+            if kind == "scaled":
+                ref[p][w] *= 2
+            elif kind == "dropped":
+                del ref[p][w]
+            elif kind == "negated":
+                ref[p][w] = -ref[p][w]
+            else:
+                # a cell outside the table: a pair of ids, any target
+                u, v = sorted(rng.sample(ids, 2))
+                target = rng.choice([x for x in ids if x not in ref.get((u, v), {})])
+                ref.setdefault((u, v), {})[target] = F(1)
+            yield kind, ref
+
+
+def test_gauge_equivalent_agrees_with_the_exhaustive_search():
+    rng = random.Random(27)
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    ideals += [random_monomial_ideal(rng, max_gens=5, max_vars=5) for _ in range(30)]
+    verdicts = {}
+    for ideal in ideals:
+        taylor = taylor_complex(ideal)
+        shuffle = taylor_multiplication(taylor)
+        small, transfer = minimize(taylor)
+        for mult in (shuffle, transfer_multiplication(shuffle, transfer),
+                     leibniz_solution_space(small).particular()):
+            if not 2 <= len(mult.complex.positive_ids()) <= 12:
+                continue
+            for kind, ref in _gauge_references(mult, rng):
+                want = _exhaustive_gauge(mult, ref)
+                got = gauge_equivalent(mult, ref)
+                assert (got and list(got.items())) == (want and list(want.items())), kind
+                verdicts.setdefault(kind, set()).add(got is not None)
+    # the inputs reach every verdict: negations both realizable and not
+    assert verdicts == {"same": {True}, "twisted": {True}, "scaled": {False},
+                        "dropped": {False}, "added": {False}, "negated": {True, False}}
+
+
+def _twist_of_c8():
+    m = taylor_multiplication(taylor_complex(cycle_ideal(8)))
+    rng = random.Random(8)
+    eps = {w: rng.choice((F(1), F(-1))) for w in m.complex.positive_ids()}
+    return m, _twisted(m.table, eps)
+
+
+def test_gauge_equivalent_recovers_a_twist_of_c8():
+    # 255 positive ids: far past any exhaustive search
+    m, ref = _twist_of_c8()
+    assert len(m.complex.positive_ids()) == 255
+    eps = gauge_equivalent(m, ref)
+    assert eps is not None and list(eps) == m.complex.positive_ids()
+    assert _twisted(m.table, eps) == ref
+
+
+def test_gauge_equivalent_has_no_size_cap():
+    m = taylor_multiplication(taylor_complex(cycle_ideal(6)))
+    assert len(m.complex.positive_ids()) == 63
+    assert gauge_equivalent(m, {}) is None
 
 
 _WITHOUT_ASSERTS = """
@@ -235,15 +350,11 @@ from dgares.complexes import BasisElement, Element, FreeComplex, taylor_complex
 from dgares.corpus import cycle_ideal, path_ideal, taylor_equals_scarf_ideal
 from dgares.minimize import _Reduction
 from dgares.morse import cone_morse_matching, ideal_from_cone_complex
-from dgares.multiplication import Multiplication, check_dga_axioms, gauge_equivalent, taylor_multiplication
+from dgares.multiplication import Multiplication, check_dga_axioms
 from dgares.simplicial import SimplicialComplex, _cascade, cone
 
 if not sys.flags.optimize:
     sys.exit(3)
-try:
-    gauge_equivalent(taylor_multiplication(taylor_complex(cycle_ideal(6))), {})
-except ValueError:
-    print("cap")
 zeros = [BasisElement((0,), 0, (0,)), BasisElement((1,), 0, (1,))]
 c = FreeComplex(1, {0: zeros}, {}, augmented=False)
 if not check_dga_axioms(Multiplication(c, {})).unit:
@@ -272,9 +383,8 @@ for name, call in guards.items():
 
 
 def test_guards_hold_without_asserts():
-    # python -O strips asserts; the gauge cap and the unit check must
-    # still stop a 2^63 search and report a missing unit, and every
-    # input guard must still raise
+    # python -O strips asserts; the unit check must still report a
+    # missing unit, and every input guard must still raise
     src = os.path.dirname(os.path.dirname(os.path.abspath(dgares.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -284,7 +394,7 @@ def test_guards_hold_without_asserts():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "cap", "unit", "add", "leak", "tvector", "path", "cycle", "pivot", "cone", "noncone", "gap",
+        "unit", "add", "leak", "tvector", "path", "cycle", "pivot", "cone", "noncone", "gap",
         "cascade",
     ]
 

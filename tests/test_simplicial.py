@@ -98,9 +98,6 @@ def test_accessors():
     assert delta.vertices() == [0, 1, 2, 4]
     assert delta.dim() == 1
     assert sorted(tuple(sorted(f)) for f in delta.facets()) == [(0, 1), (1, 2), (4,)]
-    assert not delta.is_full_simplex()
-    full = SimplicialComplex.from_faces(3, [(0, 1, 2)])
-    assert full.is_full_simplex()
 
 
 def test_f_vector_knowns():

@@ -23,7 +23,10 @@ Leibniz solution space and the forced products, each in insertion
 order; the verdicts of `TransferData.verify` and `Homotopy.verify` on
 the true maps and on every copy with one entry negated or deleted; and
 the axiom reports, witnesses included, of each product and of a copy
-with one entry moved inside its strand.
+with one entry moved inside its strand; and, when the minimal
+resolution has at most 12 positive-degree ids, the sign gauge of the
+transferred and particular products onto a seeded sign twist of each
+and onto that twist with one entry negated.
 
 Standard library only; the random ideals are drawn here, not by dgares,
 so both checkouts see the same inputs.
@@ -67,10 +70,14 @@ from dgares.ideals import vec_add
 from dgares.ioformats import parse_ideal_file
 from dgares.minimize import TransferData, minimize
 from dgares.multiplication import (
-    Multiplication, check_dga_axioms, taylor_multiplication, transfer_multiplication)
+    Multiplication, check_dga_axioms, gauge_equivalent, taylor_multiplication,
+    transfer_multiplication)
 from dgares.solve import forced_products, leibniz_solution_space
 
 FULL_AXIOMS_MAX_BASIS = 30
+# the size the exhaustive gauge search of older checkouts accepted, so
+# that their dumps compare with this one
+GAUGE_MAX_IDS = 12
 
 
 def show(title, table):
@@ -112,6 +119,10 @@ def perturbed(mult, rng):
     return Multiplication(complex_, table, laurent=mult.laurent)
 
 
+def signs(eps):
+    return eps if eps is None else "".join("+" if e > 0 else "-" for e in eps.values())
+
+
 ideal = parse_ideal_file(sys.argv[1])
 taylor = taylor_complex(ideal)
 small, transfer = minimize(taylor)
@@ -148,6 +159,22 @@ for name, mult in products.items():
         for kind in ("multigraded", "commutative", "leibniz", "associative"):
             for witness in getattr(report, kind + "_failures"):
                 print(" ", kind, witness)
+
+rng = random.Random(1)
+for name in ("transferred", "particular"):
+    mult = products[name]
+    ids = mult.complex.positive_ids()
+    if len(ids) > GAUGE_MAX_IDS:
+        continue
+    eps = {w: rng.choice((1, -1)) for w in ids}
+    ref = {(u, v): {w: eps[u] * eps[v] * eps[w] * c for w, c in row.items()}
+           for (u, v), row in mult.table.items()}
+    print(name, "gauge onto a twist", signs(gauge_equivalent(mult, ref)))
+    entries = [(p, w) for p in sorted(ref) for w in sorted(ref[p])]
+    if entries:
+        p, w = rng.choice(entries)
+        ref[p][w] = -ref[p][w]
+        print(name, "gauge, entry", p, w, "negated", signs(gauge_equivalent(mult, ref)))
 """
 
 

@@ -108,6 +108,20 @@ MUTANTS = [
         "",
         "tests/test_morse.py::test_ideal_from_cone_complex_checks_its_lattice",
     ),
+    Mutant(
+        "gauge_equivalent without its magnitude test",
+        "src/dgares/multiplication.py",
+        "            if abs(a) != abs(b):\n                return None\n",
+        "",
+        "tests/test_multiplication.py::test_gauge_equivalent_rejects_impossible_tables",
+    ),
+    Mutant(
+        "gauge_equivalent accepts a contradiction (0 = 1)",
+        "src/dgares/multiplication.py",
+        "            elif row:\n                return None\n",
+        "",
+        "tests/test_multiplication.py::test_gauge_equivalent_rejects_a_negated_entry",
+    ),
 ]
 
 
