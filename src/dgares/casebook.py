@@ -3,10 +3,9 @@
 Each case rebuilds one construction from scratch and re-checks every
 fact the library claims about it, returning a CaseResult with one line
 per fact.  Case names are opaque catalog labels used by the command
-line; `run_all` drives the whole catalog, optionally in parallel.
+line; `run_all` drives the whole catalog in one process.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -451,10 +450,6 @@ def run_case(name):
     return _RUNNERS[name]()
 
 
-def run_all(jobs=None):
-    """Run every case, optionally across worker processes; never more
-    workers than cases."""
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(CASES))) as pool:
-            return list(pool.map(run_case, CASES))
+def run_all():
+    """Run every case, in catalog order."""
     return [run_case(name) for name in CASES]

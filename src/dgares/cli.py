@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 on success and for checks that hold, 1 when a requested
-check fails (witnesses are printed), 2 on malformed input, with line
-and column diagnostics for text files.  `--json` switches every
-subcommand to a single JSON document carrying the same data as the
-text output; scalars are exact fraction strings.
+check fails (witnesses are printed) or the library raises ValueError,
+2 on malformed or missing input (with line and column diagnostics for
+text files) and on an ideal over `--max-gens`.  `--json` switches
+every subcommand to a single JSON document carrying the same data as
+the text output; scalars are exact fraction strings.
 """
 
 import argparse
@@ -48,7 +49,7 @@ def _print_doc(args, doc, lines):
 def _load_ideal(args, path=None):
     ideal = ioformats.parse_ideal_file(path or args.file)
     if ideal.k > args.max_gens:
-        raise ValueError(
+        raise ioformats.ParseError(
             "ideal has %d generators, over the --max-gens limit %d"
             % (ideal.k, args.max_gens))
     return ideal
@@ -381,7 +382,7 @@ def cmd_construct(args):
 
 def cmd_examples(args):
     if args.case == "all":
-        results = casebook.run_all(jobs=args.jobs)
+        results = casebook.run_all()
     else:
         results = [casebook.run_case(args.case)]
     doc = {"cases": [r.to_json() for r in results],
@@ -466,7 +467,6 @@ def build_parser():
     p = add_parser("examples", help="rebuild and re-check the catalog")
     p.add_argument("action", choices=("run",))
     p.add_argument("case", choices=casebook.CASES + ("all",))
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_examples)
 
     return parser
@@ -477,10 +477,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ioformats.ParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ioformats.ParseError, FileNotFoundError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except ValueError as err:

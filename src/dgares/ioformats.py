@@ -18,7 +18,7 @@ from .simplicial import SimplicialComplex
 
 
 class ParseError(ValueError):
-    """Malformed input with position information."""
+    """Malformed or refused input, with its position when there is one."""
 
     def __init__(self, message, line=None, column=None):
         self.message = message

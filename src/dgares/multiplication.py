@@ -168,12 +168,16 @@ def associator(mult, f, g, h):
     return left.sub(right)
 
 
+def shuffle_sign(u, v):
+    """(-1)^#{(a, b) in u x v : b < a}, the Taylor sign of g_u * g_v."""
+    return -ONE if sum(1 for a in u for b in v if b < a) % 2 else ONE
+
+
 def taylor_multiplication(complex_):
     """The shuffle product on a Taylor-style complex whose basis ids are
     sorted index tuples: g_W * g_V = 0 when W and V meet, and otherwise
-    (-1)^s g_(W u V) with s the number of pairs (w, v) in W x V with
-    v < w.  The monomial factor lcm(W) lcm(V) / lcm(W u V) is implied by
-    the scalar storage."""
+    shuffle_sign(W, V) g_(W u V).  The monomial factor lcm(W) lcm(V) /
+    lcm(W u V) is implied by the scalar storage."""
     ids = complex_.positive_ids()
     if not all(isinstance(w, tuple) for w in ids):
         raise ValueError("taylor_multiplication needs index-tuple ids")
@@ -184,8 +188,7 @@ def taylor_multiplication(complex_):
         target = tuple(sorted(u + v))
         if target not in complex_.by_id:
             continue
-        s = sum(1 for a in u for b in v if b < a)
-        table[(u, v)] = {target: ONE * (-1) ** s}
+        table[(u, v)] = {target: shuffle_sign(u, v)}
     return Multiplication(complex_, table)
 
 

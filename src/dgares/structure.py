@@ -48,6 +48,7 @@ from .multiplication import (
     Multiplication,
     check_dga_axioms,
     is_supportive,
+    shuffle_sign,
     taylor_multiplication,
 )
 from .simplicial import cone_deconvolve
@@ -84,8 +85,7 @@ def scarf_product_check(ideal, mult, max_witnesses=10):
         if set(u) & set(v):
             expected = Element(hdeg, mdeg, {})
         else:
-            s = sum(1 for a in u for b in v if b < a)
-            expected = Element(hdeg, mdeg, {union: ONE if s % 2 == 0 else -ONE})
+            expected = Element(hdeg, mdeg, {union: shuffle_sign(u, v)})
         if got != expected:
             witnesses.append((u, v, got))
     return not witnesses, witnesses[:max_witnesses]

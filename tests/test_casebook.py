@@ -3,7 +3,6 @@ claims, and the reporting helpers stay stable."""
 
 import pytest
 
-from dgares import casebook
 from dgares.casebook import CASES, run_all, run_case
 
 
@@ -35,31 +34,7 @@ def test_lines_and_json():
     ]
 
 
-def test_run_all_serial_and_parallel():
-    serial = run_all()
-    assert [r.name for r in serial] == list(CASES)
-    assert all(r.passed for r in serial)
-    parallel = run_all(jobs=2)
-    assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
-
-
-def test_run_all_starts_no_more_workers_than_cases(monkeypatch):
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(casebook, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(casebook, "run_case", lambda name: name)
-    assert run_all(jobs=10**6) == list(CASES)
-    assert seen == [len(CASES)]
+def test_run_all_runs_every_case_in_order():
+    results = run_all()
+    assert [r.name for r in results] == list(CASES)
+    assert all(r.passed for r in results)

@@ -380,7 +380,7 @@ def test_cli_error_exit_codes(capsys, tmp_path, cycle_file):
     assert code == 2
     assert "line 2" in err
     code, _, err = run_cli(capsys, "betti", cycle_file, "--max-gens", "2")
-    assert code == 1
+    assert code == 2
     assert "over the --max-gens limit" in err
     # lattices past 64 elements (66 and 90 here) have no size cap
     big = tmp_path / "big.complex"

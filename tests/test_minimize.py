@@ -168,30 +168,41 @@ def test_transfer_verify_rejects_a_dropped_entry(name):
 
 
 def test_transfer_verify_rejects_a_projection_that_is_not_a_left_inverse():
-    # proj + dk + kd is still a chain map, and incl∘proj - id stays
-    # dH' + H'd with H' = H + incl∘k, so only proj∘incl = id can fail
-    small, tr = minimize(taylor_complex(cycle_ideal(6)))
-    big, y = tr.big, (0,)  # k sends the unit () to y
-    proj = {g: dict(row) for g, row in tr.proj.items()}
-    homotopy = {g: dict(row) for g, row in tr.homotopy.items()}
-    add_scaled(proj.setdefault((), {}), 1, small.diff_of(y))
-    for g, row in big.diff.items():
-        if () in row:
-            add_scaled(proj.setdefault(g, {}), row[()], {y: 1})
-    add_scaled(homotopy.setdefault((), {}), 1, tr.incl[y])
-    lhs = {g: apply(tr.incl, proj.get(g, {})) for g in big.by_id}
-    for g, row in lhs.items():
-        row[g] = row.get(g, 0) - 1
+    # proj' = proj + ek + kd, for a graded k from big to small raising
+    # hdeg by one, is still a graded chain map, and incl∘proj' - id =
+    # dH' + H'd with H' = H + incl∘k, so only proj∘incl = id can fail.
+    # After one cancellation such a k breaks it.  On the minimal C6 none
+    # does: no id there has an id one hdeg up whose mdeg divides its
+    # own, so k∘incl = 0 and proj'∘incl = proj∘incl.
+    small, tr, _ = cancel_pairs(taylor_complex(cycle_ideal(6)), [((0, 2), (0, 1, 2))])
+    assert tr.verify()
+    big, incl = tr.big, tr.incl
+    graded = (
+        {bg.bid: {bh.bid: 1}}
+        for bg in sorted(big.by_id.values(), key=lambda b: (b.hdeg, b.bid))
+        for bh in small.basis_at(bg.hdeg + 1)
+        if divides(bh.mdeg, bg.mdeg)
+    )
+
+    def moved(k):
+        return combine((1, tr.proj), (1, compose(small.diff, k)), (1, compose(k, big.diff)))
+
+    def left_inverse(proj):
+        return all(apply(proj, incl.get(g, {})) == {g: 1} for g in small.by_id)
+
+    k = next(k for k in graded if not left_inverse(moved(k)))
+    proj, homotopy = moved(k), combine((1, tr.homotopy), (1, compose(incl, k)))
+    lhs = combine((1, compose(incl, proj)), (-1, {g: {g: 1} for g in big.by_id}))
+    assert not grading_fault(big, small, proj, 0) and not grading_fault(big, big, homotopy, 1)
     assert is_chain_map(big, small, proj) and is_homotopy(big, homotopy, lhs)
-    assert apply(proj, tr.incl[()]) != {(): 1}
-    assert not TransferData(big, small, tr.incl, proj, homotopy).verify()
+    assert not TransferData(big, small, incl, proj, homotopy).verify()
 
 
 def test_transfer_verify_rejects_a_small_complex_with_a_scaled_top_row():
     # 2·d on one top basis element is a change of basis: the small
     # complex still resolves S/I, and proj∘incl = id and the homotopy
-    # identity read neither differential of it, so only the chain-map
-    # checks see that incl and proj no longer commute with d
+    # identity read neither differential of it, so only the inclusion's
+    # chain-map check sees that incl no longer commutes with d
     ideal = cycle_ideal(6)
     small, tr = minimize(taylor_complex(ideal))
     assert tr.verify()
@@ -202,6 +213,75 @@ def test_transfer_verify_rejects_a_small_complex_with_a_scaled_top_row():
     assert is_resolution(scaled, ideal)
     assert all(apply(tr.proj, tr.incl.get(g, {})) == {g: 1} for g in scaled.by_id)
     assert not TransferData(tr.big, scaled, tr.incl, tr.proj, tr.homotopy).verify()
+
+
+def five_check_verify(tr):
+    """TransferData.verify as it was with its fifth check, that proj is a
+    chain map; the reference for the trimmed verify."""
+    big, small, incl, proj = tr.big, tr.small, tr.incl, tr.proj
+    if (
+        grading_fault(small, big, incl, 0)
+        or grading_fault(big, small, proj, 0)
+        or grading_fault(big, big, tr.homotopy, 1)
+    ):
+        return False
+    if any(apply(proj, incl.get(g, {})) != {g: 1} for g in small.by_id):
+        return False
+    lhs = {g: apply(incl, proj.get(g, {})) for g in big.by_id}
+    for g, row in lhs.items():
+        row[g] = row.get(g, 0) - 1
+    return (
+        is_homotopy(big, tr.homotopy, lhs)
+        and is_chain_map(small, big, incl)
+        and is_chain_map(big, small, proj)
+    )
+
+
+def changed_entries(rows):
+    """Every copy of rows with one entry negated, deleted or doubled."""
+    yield from flipped_entries(rows)
+    yield from dropped_entries(rows)
+    for g in sorted(rows):
+        for h in sorted(rows[g]):
+            new = {k: dict(v) for k, v in rows.items()}
+            new[g][h] *= 2
+            yield new
+
+
+def test_trimmed_verify_agrees_with_the_five_checks():
+    ideals = [ideal for _, ideal in catalog_ideals()]
+    rng = random.Random(59)
+    for squarefree in (True, False):
+        drawn = 0
+        while drawn < 5:
+            ideal = random_monomial_ideal(rng, max_gens=6, max_vars=5, squarefree=squarefree)
+            if 3 <= ideal.k <= 5:
+                ideals.append(ideal)
+                drawn += 1
+    transfers = [minimize(taylor_complex(ideal), order)[1]
+                 for ideal in ideals for order in ("forward", "reversed")]
+    rng = random.Random(61)
+    for _ in range(4):
+        delta = random_cone_complex(rng, max_base_vertices=4)
+        ideal = ideal_from_cone_complex(delta)
+        matching = cone_morse_matching(ideal, delta, delta.num_vertices - 1)
+        transfers.append(cancel_pairs(taylor_complex(ideal), matching)[1])
+    for tr in transfers:
+        assert tr.verify() and five_check_verify(tr)
+    # every one-entry change of each map, on C6 (squarefree) and on the
+    # first random ideal that is not squarefree
+    c6 = [label for label, _ in catalog_ideals()].index("4.3")
+    rough = next(n for n in range(len(ideals) - 5, len(ideals)) if not ideals[n].is_squarefree())
+    verdicts = []
+    for tr in (transfers[2 * c6], transfers[2 * rough]):
+        maps = {"incl": tr.incl, "proj": tr.proj, "homotopy": tr.homotopy}
+        for name, rows in maps.items():
+            for new in changed_entries(rows):
+                broken = TransferData(tr.big, tr.small, **dict(maps, **{name: new}))
+                want = five_check_verify(broken)
+                assert broken.verify() == want
+                verdicts.append(want)
+    assert len(verdicts) > 300 and not any(verdicts)
 
 
 def compose(a, b):

@@ -13,9 +13,11 @@ from dgares.complexes import (
     add_scaled,
     algebraic_scarf,
     apply,
+    canonical_pairs,
     is_chain_map,
     is_minimal,
     is_resolution,
+    scarf_complex,
     taylor_complex,
 )
 from dgares.corpus import (
@@ -23,6 +25,7 @@ from dgares.corpus import (
     cycle_ideal,
     path_ideal,
     random_cone_complex,
+    random_monomial_ideal,
     strongly_generic_ideal,
     tagged_four_cycle_ideal,
     taylor_equals_scarf_ideal,
@@ -95,6 +98,64 @@ def test_scarf_product_check_requires_squarefree():
     mult = taylor_multiplication(taylor_complex(ideal))
     with pytest.raises(ValueError):
         scarf_product_check(ideal, mult)
+
+
+def inline_sign_scarf_check(ideal, mult, max_witnesses=10):
+    """scarf_product_check as it was with its own copy of the Taylor
+    sign; the reference for the check that reads `shuffle_sign`."""
+    faces = {tuple(sorted(f)) for f in scarf_complex(ideal).faces}
+    complex_ = mult.complex
+    witnesses = []
+    for u, v in canonical_pairs(complex_):
+        if u not in faces or v not in faces:
+            continue
+        union = tuple(sorted(set(u) | set(v)))
+        if union not in faces:
+            continue
+        got = mult.product(u, v)
+        bu, bv = complex_.by_id[u], complex_.by_id[v]
+        hdeg, mdeg = bu.hdeg + bv.hdeg, tuple(a + b for a, b in zip(bu.mdeg, bv.mdeg))
+        if set(u) & set(v):
+            expected = Element(hdeg, mdeg, {})
+        else:
+            s = sum(1 for a in u for b in v if b < a)
+            expected = Element(hdeg, mdeg, {union: F(1) if s % 2 == 0 else F(-1)})
+        if got != expected:
+            witnesses.append((u, v, got))
+    return not witnesses, witnesses[:max_witnesses]
+
+
+def test_scarf_check_agrees_with_the_inline_sign():
+    ideals = [ideal for _, ideal in catalog_ideals() if ideal.is_squarefree()]
+    rng = random.Random(67)
+    while len(ideals) < 10:
+        ideal = random_monomial_ideal(rng, max_gens=6, max_vars=5, squarefree=True)
+        if 3 <= ideal.k <= 5:
+            ideals.append(ideal)
+    compared = failed = 0
+    for ideal in ideals:
+        taylor = taylor_complex(ideal)
+        shuffle = taylor_multiplication(taylor)
+        for (u, v), row in shuffle.table.items():
+            s = sum(1 for a in u for b in v if b < a)
+            assert row == {tuple(sorted(u + v)): F(-1) ** s}
+        small, transfer = minimize(taylor)
+        faces = {tuple(sorted(f)) for f in scarf_complex(ideal).faces}
+        for mult in (shuffle, transfer_multiplication(shuffle, transfer),
+                     leibniz_solution_space(small).particular()):
+            # each copy with one Scarf-forced nonzero entry doubled
+            copies = [mult]
+            for pair in sorted(mult.table):
+                if set(pair) <= faces and tuple(sorted(pair[0] + pair[1])) in faces:
+                    table = {p: dict(r) for p, r in mult.table.items()}
+                    table[pair] = {w: 2 * c for w, c in table[pair].items()}
+                    copies.append(Multiplication(mult.complex, table))
+            for m in copies:
+                got = scarf_product_check(ideal, m)
+                assert got == inline_sign_scarf_check(ideal, m)
+                compared += 1
+                failed += not got[0]
+    assert compared > 300 and failed > 300, (compared, failed)
 
 
 def test_nested_product_convention():

@@ -1,6 +1,7 @@
 """Write the user-visible outputs of a dgares checkout into one directory.
 
     python tools/dump_outputs.py OUT [--library] [--root CHECKOUT]
+    python tools/dump_outputs.py OUT --check | --write-manifest
 
 Runs the command line of the checkout (default: the one holding this
 script) on the catalog ideals and ten seeded random ideals:
@@ -28,11 +29,22 @@ resolution has at most 12 positive-degree ids, the sign gauge of the
 transferred and particular products onto a seeded sign twist of each
 and onto that twist with one entry negated.
 
+`tools/dump_manifest.sha256` holds the sha256 of every file of the
+--library dump, one `HASH  PATH` line per file (the `sha256sum`
+format, paths relative to OUT).  --check writes the --library dump to
+OUT (best a new directory) and names every file whose hash differs
+from the manifest, or that only one side has, exiting 1 if there is
+any; --write-manifest writes the dump and records it as the new
+manifest.  An intended change of the outputs then shows as a diff of
+the manifest, and no second checkout is needed to show that the
+outputs stayed the same.
+
 Standard library only; the random ideals are drawn here, not by dgares,
 so both checkouts see the same inputs.
 """
 
 import argparse
+import hashlib
 import os
 import random
 import subprocess
@@ -40,6 +52,7 @@ import sys
 
 DGA_MODES = ("transfer", "solve", "laurent", "scale", "supportive")
 RANDOM_SEEDS = range(10)
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "dump_manifest.sha256")
 VERIFY_MAX_GENS = 5
 
 # Facets, one per line, vertices numbered from 1; the apex is the
@@ -232,6 +245,32 @@ def catalog_texts(root, out):
     return texts
 
 
+def hashes(out):
+    """{path relative to out, with / separators: sha256 hex} per file."""
+    found = {}
+    for folder, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            found[os.path.relpath(path, out).replace(os.sep, "/")] = digest
+    return found
+
+
+def check_manifest(out):
+    """Print every file whose hash differs from the manifest; 1 if any."""
+    with open(MANIFEST, encoding="utf-8") as fh:
+        want = dict(reversed(line.rstrip("\n").split("  ", 1)) for line in fh)
+    got = hashes(out)
+    paths = sorted(set(want) | set(got))
+    bad = [path for path in paths if want.get(path) != got.get(path)]
+    for path in bad:
+        note = "missing" if path not in got else "not in the manifest" if path not in want else "differs"
+        print("%s: %s" % (note, path))
+    print("%d of %d files differ from the manifest" % (len(bad), len(paths)))
+    return 1 if bad else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="directory to write (created if missing)")
@@ -241,7 +280,15 @@ def main(argv=None):
     parser.add_argument(
         "--library", action="store_true",
         help="also write the library outputs (tables, verdicts, axiom reports) per ideal")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--check", action="store_true",
+        help="write the --library dump and compare it with the manifest")
+    mode.add_argument(
+        "--write-manifest", action="store_true", dest="write_manifest",
+        help="write the --library dump and record it as the manifest")
     args = parser.parse_args(argv)
+    library = args.library or args.check or args.write_manifest
     root = os.path.abspath(args.root)
     out = os.path.abspath(args.out)
     inputs = os.path.join(out, "inputs")
@@ -261,7 +308,7 @@ def main(argv=None):
                 os.path.join(out, "%s.dga-%s.json" % (name, mode)))
         run(root, ["-m", "dgares", "--json", "resolve", "--show-transfer", path],
             os.path.join(out, "%s.resolve.json" % name))
-        if args.library:
+        if library:
             run(root, ["-c", _LIBRARY, path], os.path.join(out, "%s.library.txt" % name))
         if name.startswith("catalog-"):
             target = os.path.join(inputs, name + "-reversed.txt")
@@ -286,6 +333,11 @@ def main(argv=None):
         if script.endswith(".py"):
             run(root, [os.path.join(demos, script)],
                 os.path.join(out, "demo-%s.txt" % script[:-3]))
+    if args.check:
+        return check_manifest(out)
+    if args.write_manifest:
+        with open(MANIFEST, "w", encoding="utf-8") as fh:
+            fh.writelines("%s  %s\n" % (h, path) for path, h in sorted(hashes(out).items()))
     return 0
 
 

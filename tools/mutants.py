@@ -37,13 +37,26 @@ MUTANTS = [
         "tests/test_complexes.py::test_is_resolution_rejects_a_resolution_of_another_ideal",
     ),
     Mutant(
-        "TransferData.verify without its chain-map checks",
+        "TransferData.verify without its chain-map check",
         "src/dgares/minimize.py",
-        "            is_homotopy(big, self.homotopy, lhs)\n"
-        "            and is_chain_map(small, big, incl)\n"
-        "            and is_chain_map(big, small, proj)\n",
-        "            is_homotopy(big, self.homotopy, lhs)\n",
+        " and is_chain_map(small, big, incl)\n",
+        "\n",
         "tests/test_minimize.py::test_transfer_verify_rejects_a_small_complex_with_a_scaled_top_row",
+    ),
+    Mutant(
+        "TransferData.verify without proj∘incl = id",
+        "src/dgares/minimize.py",
+        "        if any(apply(proj, incl.get(g, {})) != {g: ONE} for g in small.by_id):\n"
+        "            return False\n",
+        "",
+        "tests/test_minimize.py::test_transfer_verify_rejects_a_projection_that_is_not_a_left_inverse",
+    ),
+    Mutant(
+        "TransferData.verify without its homotopy identity",
+        "src/dgares/minimize.py",
+        "        return is_homotopy(big, self.homotopy, lhs) and ",
+        "        return ",
+        "tests/test_minimize.py::test_transfer_verify_rejects_a_flipped_entry",
     ),
     Mutant(
         "TransferData.verify without its grading check",
